@@ -45,6 +45,8 @@ pub use report::{Csv, Table};
 /// Default seed for every experiment (deterministic harness).
 pub const SEED: u64 = 0x10_DDAD;
 
-/// Calibration constant for the BSP cost model: nanoseconds per work
-/// unit (≈ handling cost of one fine-grained message). See DESIGN.md §2.
+/// Nominal conversion of the BSP cost model: nanoseconds per work unit,
+/// used to express simulated time in seconds. It is a fixed convention,
+/// not a measurement — perfbench measures the host's actual wall ns per
+/// unit (`parallel.r<p>.ns_per_unit`). See DESIGN.md §2.
 pub const NS_PER_UNIT: f64 = 20.0;

@@ -66,7 +66,14 @@ pub use louvain_core::json::Json;
 /// unlike `phase_units` which is the max-over-ranks simulated clock) —
 /// and the document gains a top-level `partition` section comparing the
 /// modulo and arc-balanced strategies on a skewed unpermuted R-MAT.
-pub const SCHEMA_VERSION: u64 = 5;
+///
+/// v6: one row store replaces the Out-Table patching and the frontier
+/// scheduler (DESIGN.md §10, §13). FIND BEST is the full scan again and
+/// modularity needs no messages, so phase units and volumes are not
+/// like-for-like with v5. The four `frontier_*` fields are replaced by
+/// `find_best_scans` (vertices scanned, summed over iterations and
+/// ranks).
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Output path, relative to the working directory (the workspace root
 /// under `cargo run`).
@@ -165,34 +172,11 @@ fn workload_entry(name: &str, vertices: usize, r: &ParallelResult) -> Json {
             "cache_invalidations".into(),
             Json::UInt(r.cache_invalidations),
         ),
-        // Frontier-scheduling observables (schema v3, DESIGN.md §13):
-        // `frontier_active_vertices` is the find-best scan volume the
-        // cost spec bounds as `O(frontier)`; `frontier_skipped_scans` is
-        // the work the v2 full scan would have done on top of it (their
-        // sum is the old `O(n_local)` volume); `frontier_occupancy`
-        // tracks the first level's worklist drain, iteration by
-        // iteration — the worked table of DESIGN.md §13 reads off this
-        // array.
+        // FIND BEST scan volume (schema v6): every local vertex once per
+        // inner iteration, the `O(n_local)` class of the cost spec.
         (
-            "frontier_active_vertices".into(),
+            "find_best_scans".into(),
             Json::UInt(r.frontier.active_vertices),
-        ),
-        (
-            "frontier_reactivations".into(),
-            Json::UInt(r.frontier.reactivations),
-        ),
-        (
-            "frontier_skipped_scans".into(),
-            Json::UInt(r.frontier.skipped_scans),
-        ),
-        (
-            "frontier_occupancy".into(),
-            Json::Arr(
-                r.frontier_occupancy
-                    .iter()
-                    .map(|&o| Json::UInt(o))
-                    .collect(),
-            ),
         ),
         // Partition-skew observables (schema v5, DESIGN.md §15): the
         // per-rank series expose the imbalance the max-over-ranks

@@ -1,8 +1,8 @@
 //! Checkpoint/restart for the distributed solver (DESIGN.md §14).
 //!
 //! At every level boundary the solver can snapshot each rank's complete
-//! state — labels, `Σ_tot`/`Σ_in`, the In-Table, the dendrogram prefix,
-//! frontier counters, and the recorded protocol-log prefix — into an
+//! state — labels, `Σ_tot`, the In-Table, the dendrogram prefix, and
+//! the recorded protocol-log prefix — into an
 //! in-memory [`CheckpointStore`]. When a scheduled fault kills a rank
 //! (see `louvain_runtime::fault`), the driver rewinds every rank to the
 //! last checkpoint and re-executes; because every per-rank quantity is
@@ -17,7 +17,6 @@
 //! that fails validation is rejected with a named [`CheckpointError`] —
 //! never silently resumed.
 
-use crate::frontier::FrontierStats;
 use crate::json::Json;
 use crate::result::LevelInfo;
 use std::fmt;
@@ -29,7 +28,10 @@ use std::sync::Mutex;
 /// refused, not reinterpreted. v2 added the partition record
 /// (`part_kind`/`part_owners`) and the level-0 vertex domain
 /// (`orig_vertices`) for the pluggable-partition work (DESIGN.md §15).
-pub const CHECKPOINT_SCHEMA: u64 = 2;
+/// v3 dropped `internal_bits` (Σ_in is now folded from the row store,
+/// never stored) and the frontier counters and occupancy (the scan
+/// count follows from the restored levels).
+pub const CHECKPOINT_SCHEMA: u64 = 3;
 
 /// Why a checkpoint was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -155,8 +157,6 @@ pub struct Checkpoint {
     pub label: Vec<u32>,
     /// `to_bits()` of `Σ_tot` per owned community.
     pub tot_bits: Vec<u64>,
-    /// `to_bits()` of `Σ_in` per owned community.
-    pub internal_bits: Vec<u64>,
     /// Member count per owned community.
     pub size: Vec<u32>,
     /// Current community of each originally-local vertex.
@@ -178,10 +178,6 @@ pub struct Checkpoint {
     /// Per-completed-level labels of originally-local vertices (the
     /// dendrogram prefix itself).
     pub level_orig_comms: Vec<Vec<u32>>,
-    /// Frontier counters accumulated so far.
-    pub frontier: FrontierStats,
-    /// First-level frontier occupancy per inner iteration.
-    pub frontier_occupancy: Vec<u64>,
     /// Names of the collectives recorded so far (empty unless protocol
     /// recording is on); seeded back so the recovered log splices.
     pub protocol_log: Vec<String>,
@@ -267,7 +263,6 @@ impl Checkpoint {
             ("k_bits".into(), uints(&self.k_bits)),
             ("label".into(), uints32(&self.label)),
             ("tot_bits".into(), uints(&self.tot_bits)),
-            ("internal_bits".into(), uints(&self.internal_bits)),
             ("size".into(), uints32(&self.size)),
             ("orig_comm".into(), uints32(&self.orig_comm)),
             ("orig_vertices".into(), uints32(&self.orig_vertices)),
@@ -295,24 +290,6 @@ impl Checkpoint {
                 "level_orig_comms".into(),
                 Json::Arr(self.level_orig_comms.iter().map(|c| uints32(c)).collect()),
             ),
-            (
-                "frontier".into(),
-                Json::Obj(vec![
-                    (
-                        "active_vertices".into(),
-                        Json::UInt(self.frontier.active_vertices),
-                    ),
-                    (
-                        "reactivations".into(),
-                        Json::UInt(self.frontier.reactivations),
-                    ),
-                    (
-                        "skipped_scans".into(),
-                        Json::UInt(self.frontier.skipped_scans),
-                    ),
-                ]),
-            ),
-            ("frontier_occupancy".into(), uints(&self.frontier_occupancy)),
             (
                 "protocol_log".into(),
                 Json::Arr(
@@ -370,7 +347,6 @@ impl Checkpoint {
                     .collect()
             })
             .collect::<Result<Vec<Vec<u32>>, _>>()?;
-        let fr = ck_field(doc, "frontier")?;
         let cp = Self {
             rank: ck_u64(doc, "rank")? as usize,
             ranks: ck_u64(doc, "ranks")? as usize,
@@ -385,7 +361,6 @@ impl Checkpoint {
             k_bits: ck_u64s(doc, "k_bits")?,
             label: ck_u32s(doc, "label")?,
             tot_bits: ck_u64s(doc, "tot_bits")?,
-            internal_bits: ck_u64s(doc, "internal_bits")?,
             size: ck_u32s(doc, "size")?,
             orig_comm: ck_u32s(doc, "orig_comm")?,
             orig_vertices: ck_u32s(doc, "orig_vertices")?,
@@ -393,12 +368,6 @@ impl Checkpoint {
             part_owners: ck_u32s(doc, "part_owners")?,
             levels,
             level_orig_comms,
-            frontier: FrontierStats {
-                active_vertices: ck_u64(fr, "active_vertices")?,
-                reactivations: ck_u64(fr, "reactivations")?,
-                skipped_scans: ck_u64(fr, "skipped_scans")?,
-            },
-            frontier_occupancy: ck_u64s(doc, "frontier_occupancy")?,
             protocol_log: ck_strs(doc, "protocol_log")?,
         };
         cp.validate()?;
@@ -427,14 +396,9 @@ impl Checkpoint {
             return Err(CheckpointError::Corrupt("in_keys not strictly sorted"));
         }
         let local_n = self.k_bits.len();
-        if [
-            self.label.len(),
-            self.tot_bits.len(),
-            self.internal_bits.len(),
-            self.size.len(),
-        ]
-        .iter()
-        .any(|&l| l != local_n)
+        if [self.label.len(), self.tot_bits.len(), self.size.len()]
+            .iter()
+            .any(|&l| l != local_n)
         {
             return Err(CheckpointError::Corrupt("per-vertex array length skew"));
         }
@@ -698,7 +662,6 @@ mod tests {
             k_bits: vec![2.5f64.to_bits(), (-0.0f64).to_bits()],
             label: vec![5, 9],
             tot_bits: vec![1e8f64.to_bits(), 0.1f64.to_bits()],
-            internal_bits: vec![0u64, 0.3f64.to_bits()],
             size: vec![3, 1],
             orig_comm: vec![1, 5, 9],
             orig_vertices: vec![1, 5, 9],
@@ -723,12 +686,6 @@ mod tests {
                 },
             ],
             level_orig_comms: vec![vec![0, 1, 2], vec![0, 0, 1]],
-            frontier: FrontierStats {
-                active_vertices: 100,
-                reactivations: 7,
-                skipped_scans: 42,
-            },
-            frontier_occupancy: vec![10, 4, 1],
             protocol_log: vec!["Barrier".into(), "SimSync".into()],
         }
     }

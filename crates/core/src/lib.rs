@@ -23,9 +23,9 @@
 //!   parallel Louvain built on hash-based In/Out tables
 //!   (Algorithms 2–5), the exponential-decay move threshold
 //!   ([`heuristic`], Equation 7), community state propagation,
-//!   all-to-all graph reconstruction, and a frontier-scheduled
-//!   local-move phase ([`frontier`]) that scans only vertices whose
-//!   best-move decision could have changed.
+//!   all-to-all graph reconstruction, and a per-level row store whose
+//!   cached neighbour labels make each state-propagation delta one label
+//!   overwrite.
 //!
 //! Shared pieces: the ΔQ kernel ([`dq`], Equation 4), hierarchy/result
 //! types ([`result`]), and per-phase timers ([`timing`], Figure 8).
@@ -34,7 +34,6 @@ pub mod checkpoint;
 pub mod coarsen;
 pub mod dendrogram;
 pub mod dq;
-pub mod frontier;
 pub mod heuristic;
 pub mod json;
 pub mod labelprop;
@@ -48,7 +47,6 @@ pub mod timing;
 
 pub use checkpoint::{ChaosCase, Checkpoint, CheckpointError, CheckpointStore};
 pub use dendrogram::Dendrogram;
-pub use frontier::FrontierStats;
 pub use heuristic::{EpsilonSchedule, ScheduleForm};
 pub use json::Json;
 pub use labelprop::{LabelPropConfig, LabelPropResult, LabelPropagation};
@@ -58,4 +56,4 @@ pub use refine::{refine_partition, Refinement};
 pub use result::{LevelInfo, LouvainResult};
 pub use seq::{SeqConfig, SequentialLouvain};
 pub use smp::{SmpConfig, SmpLouvain};
-pub use timing::{Phase, PhaseTimers};
+pub use timing::{Phase, PhaseTimers, ScanStats};

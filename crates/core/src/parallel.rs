@@ -6,75 +6,58 @@
 //! * vertices are 1D-partitioned by `v mod p` ([`ModuloPartition`]);
 //! * `In_Table` holds the in-edges of locally owned vertices, keyed
 //!   `(src, dst)` — immutable during the inner loop;
-//! * `Out_Table` accumulates `w_{u→c}`, keyed `(src, community)` — rebuilt
-//!   by every STATE PROPAGATION;
+//! * `Out_Table` accumulates `w_{u→c}`, keyed `(src, community)` — built
+//!   once per level, for GRAPH RECONSTRUCTION (the refine phase reads the
+//!   row store below instead);
 //! * community `c` (a global id) is owned by rank `c mod p`, which keeps
-//!   its `Σ_tot` and `Σ_in`.
+//!   its `Σ_tot` and member count.
 //!
 //! Per inner iteration (REFINE, Algorithm 4): gather a `Σ_tot` snapshot,
-//! scan the Out-Table for each vertex's best gain `m_u` (FIND BEST
+//! scan every local vertex for its best gain `m_u` (FIND BEST
 //! COMMUNITY), derive the move threshold `ΔQ̂` from the ε schedule via a
 //! global log-histogram of the gains (Section IV-B), apply the thresholded
 //! moves with `Σ_tot` delta messages (UPDATE COMMUNITY INFORMATION),
-//! re-propagate state, and accumulate `Σ_in` to compute the new
-//! modularity.
+//! re-propagate state, and fold `Σ_in` to compute the new modularity.
 //!
-//! STATE PROPAGATION is **delta-compressed** (DESIGN.md §10): the
-//! Out-Table is built once per level from purely local data (every level
-//! starts with identity labels, so no communication is needed), and each
-//! inner iteration thereafter broadcasts only `(vertex, new_community)`
-//! pairs for vertices that actually migrated. Receivers patch the
-//! persistent Out-Table through a per-level `RemoteCache` instead of
-//! rebuilding it: deltas are applied in sorted vertex order (never in
-//! delivery order), and row liveness is tracked structurally via
-//! per-row contributor counts — a vacated row is overwritten with exact
-//! 0.0 instead of trusting FP cancellation. The cache is invalidated
-//! (rebuilt) at every GRAPH RECONSTRUCTION. An iteration in which no
-//! vertex migrates anywhere exchanges zero state-propagation messages —
-//! the inner loop then terminates through the modularity collective
-//! that follows.
-//!
-//! The FIND BEST / UPDATE sweeps are **frontier-scheduled** (DESIGN.md
-//! §13): each rank keeps a scan frontier over its local vertices
-//! ([`crate::frontier`]), seeded with everyone at level start, and
-//! re-scans only vertices whose scan *inputs* could have changed —
-//! local neighbors of received state-propagation deltas (remote
-//! re-activation piggybacked on the §10 protocol via the `RemoteCache`
-//! transpose view) and vertices whose own or adjacent community changed
-//! in the replicated `Σ_tot`/size snapshots. Everyone else's cached
-//! `m_u`/`best` decision is bitwise what a fresh scan would compute, so
-//! an ε-throttled vertex waits on the *eligibility ledger* — reachable
-//! by the UPDATE sweep, but never re-scanned while its inputs hold
-//! still. A rank whose frontier drained skips the scan entirely; every
-//! collective stays outside the frontier conditionals, so lockstep is
-//! preserved and the output is bit-identical to the full scan at the
-//! default configuration.
+//! The refine phase reads one per-level **row store** (DESIGN.md §10)
+//! where the paper's Out-Table would be: each local vertex's in-arcs as
+//! CSR of `(source slot, weight)` sorted by source, one *cached
+//! community label* per distinct source, and the self-loop weight `a_uu`.
+//! The store is built from purely local data at level start (every level
+//! starts with identity labels). STATE PROPAGATION then broadcasts only
+//! `(vertex, new_community)` pairs for vertices that migrated, and a
+//! received pair is one label overwrite. FIND BEST sums `w(u→c)` afresh
+//! from the arcs into a dense scratch array indexed by community, in
+//! sorted source order, so no incrementally patched weight exists to go
+//! stale. An iteration in which no vertex migrates anywhere exchanges
+//! zero state-propagation messages. `Σ_in` needs no messages either:
+//! `Σ_c Σ_in(c) = Σ_u w(u→label(u))`, which each rank sums over its own
+//! rows, so modularity costs one scalar allreduce.
 //!
 //! GRAPH RECONSTRUCTION (Algorithm 5) compacts surviving community ids,
-//! then turns the Out-Table into the next level's In-Table with a single
-//! all-to-all: entry `((u, c), w)` becomes message `((c'_new, c_new), w)`
-//! to the owner of `c_new` — "transforming the graph relabeling problem
-//! into an all-to-all communication with hashing".
+//! aggregates the rows once into the paper's hash Out-Table keyed
+//! `(u, community)`, and turns that into the next level's In-Table with a
+//! single all-to-all: entry `((u, c), w)` becomes message
+//! `((c'_new, c_new), w)` to the owner of `c_new` — "transforming the
+//! graph relabeling problem into an all-to-all communication with
+//! hashing".
 //!
 //! Determinism note: packet arrival order varies between runs, so every
 //! floating-point accumulation over received messages is made a function
-//! of the message *multiset* — the persistent Out-Table sorts delta
-//! batches before application (with structural liveness), and the
-//! In-Table loading, `Σ_tot` update, `Σ_in`, and reconstruction
-//! accumulations buffer and sort their contributions before folding,
-//! while reductions fold in rank order. Runs are therefore
-//! bit-reproducible for *arbitrary* weights, not just the
-//! integer-valued ones the generators emit — which is what lets the
-//! frontier/full-scan equivalence (DESIGN.md §13) be asserted bitwise
-//! on mixed-magnitude inputs.
+//! of the message *multiset* — delta batches are sorted before their
+//! labels are applied, and the In-Table loading, `Σ_tot` update and
+//! reconstruction accumulations buffer and sort their contributions
+//! before folding, while reductions fold in rank order. Local sums (the
+//! row scans) run in a fixed order. Runs are therefore bit-reproducible
+//! for *arbitrary* weights, not just the integer-valued ones the
+//! generators emit.
 
 use crate::checkpoint::{Checkpoint, CheckpointStore, LevelSnapshot};
 use crate::dq;
-use crate::frontier::{Frontier, FrontierStats};
 use crate::heuristic::EpsilonSchedule;
 use crate::result::{LevelInfo, LouvainResult};
 use crate::timing::{
-    CommBreakdown, InnerIterationTiming, Phase, PhaseTimers, SimBreakdown, Stopwatch,
+    CommBreakdown, InnerIterationTiming, Phase, PhaseTimers, ScanStats, SimBreakdown, Stopwatch,
 };
 use louvain_graph::edgelist::EdgeList;
 use louvain_graph::partition::{
@@ -88,7 +71,6 @@ use louvain_runtime::{
     FaultPlan, FaultStats, RankCtx, RunOutcome, RuntimeConfig,
 };
 use louvain_trace::{Event, RankTrace};
-use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// 16-byte POD message: two ids and a weight. The meaning of `(a, b, w)`
@@ -105,16 +87,15 @@ pub struct Msg {
 
 /// Configuration of the distributed solver.
 ///
-/// The default configuration reproduces the paper's algorithm with the
-/// frontier-scheduled local-move phase (DESIGN.md §13) producing output
-/// bit-identical to a full scan:
+/// The default configuration reproduces the paper's algorithm: every
+/// vertex with a positive best gain is a move candidate.
 ///
 /// ```
 /// use louvain_core::parallel::ParallelConfig;
 ///
 /// let cfg = ParallelConfig::with_ranks(8);
-/// assert_eq!(cfg.min_gain_threshold, 0.0); // bit-identical to the full scan
-/// assert!(!cfg.full_rescan); // frontier scheduling on
+/// assert_eq!(cfg.min_gain_threshold, 0.0); // every positive gain may move
+/// assert!(!cfg.v1_state_rebuild); // delta-compressed state propagation
 ///
 /// // Trade a little quality for fewer sweeps: ignore gains below 1e-6.
 /// let coarse = ParallelConfig {
@@ -174,25 +155,14 @@ pub struct ParallelConfig {
     /// this to prove the volume verifier rejects the regression
     /// (DESIGN.md §12).
     pub v1_state_rebuild: bool,
-    /// Minimum modularity gain a vertex must see before it may migrate —
-    /// and before it is kept on the eligibility ledger between scans
-    /// (DESIGN.md §13). The default `0.0` keeps the exact semantics of
-    /// the unscheduled algorithm (`m_u > 0` moves), so solver output is
-    /// bit-identical to the seed behavior. A positive threshold prunes
-    /// near-zero-gain churn: vertices whose best gain never exceeds it
-    /// drop off the ledger, trading a bounded amount of modularity
-    /// (at most `threshold` per suppressed move) for fewer moves and
-    /// deltas. Gains below the threshold still enter the ε-histogram —
-    /// the knob composes with, and is applied after, the Equation-7
-    /// schedule.
+    /// Minimum modularity gain a vertex must see before it may migrate.
+    /// The default `0.0` keeps the paper's semantics (`m_u > 0` moves).
+    /// A positive threshold prunes near-zero-gain churn, trading a
+    /// bounded amount of modularity (at most `threshold` per suppressed
+    /// move) for fewer moves and deltas. Gains below the threshold still
+    /// enter the ε-histogram — the knob composes with, and is applied
+    /// after, the Equation-7 schedule.
     pub min_gain_threshold: f64,
-    /// Ablation knob: when `true`, every vertex is re-activated every
-    /// iteration, reducing the frontier scheduler to the full scan the
-    /// paper describes. Output is bit-identical either way (the frontier
-    /// invariant of DESIGN.md §13); only the scan work and the
-    /// `frontier.*` counters differ. The property tests compare the two
-    /// paths across perturb seeds on mixed-magnitude weighted graphs.
-    pub full_rescan: bool,
     /// Checkpoint cadence: snapshot every rank's solver state at every
     /// `checkpoint_every_level`-th level boundary (DESIGN.md §14).
     /// `0` (the default) disables checkpointing entirely — no extra
@@ -243,7 +213,6 @@ impl Default for ParallelConfig {
             record_protocol: false,
             v1_state_rebuild: false,
             min_gain_threshold: 0.0,
-            full_rescan: false,
             checkpoint_every_level: 0,
             fault_plan: None,
             partition: PartitionStrategy::default(),
@@ -306,9 +275,9 @@ pub struct ParallelResult {
     /// keyed on the simulated clock and are bit-identical across runs and
     /// across `perturb_seed`s.
     pub traces: Vec<RankTrace>,
-    /// Remote-state cache rebuilds forced by graph reconstruction, summed
-    /// across ranks (the level-0 build is a construction, not an
-    /// invalidation). See DESIGN.md §10.
+    /// Row-store rebuilds forced by graph reconstruction, summed across
+    /// ranks (the level-0 build is a construction, not an invalidation).
+    /// See DESIGN.md §10.
     pub cache_invalidations: u64,
     /// Per-rank observed collective sequences, in rank order. Empty
     /// unless [`ParallelConfig::record_protocol`] was set. All ranks
@@ -316,18 +285,10 @@ pub struct ParallelResult {
     /// enforces lockstep), and the sequence must be accepted by the
     /// static protocol spec of DESIGN.md §11.
     pub protocol_logs: Vec<Vec<CollectiveKind>>,
-    /// Frontier-scheduling counters, summed across ranks, levels and
-    /// inner iterations: vertices scanned, vertices re-activated by a
-    /// wake rule, and vertex scans skipped versus the full-scan
-    /// schedule (DESIGN.md §13). `active_vertices + skipped_scans` is
-    /// exactly the full scan's work, so the saving is directly readable.
-    pub frontier: FrontierStats,
-    /// Frontier occupancy of the **first level**, one entry per inner
-    /// iteration, summed across ranks: how many vertices the FIND BEST
-    /// sweep visited in that iteration (iteration 1 is the whole vertex
-    /// set). Schedule-invariant, so it is safe to snapshot
-    /// (`BENCH_louvain.json` carries it per workload).
-    pub frontier_occupancy: Vec<u64>,
+    /// FIND BEST scan counters, summed across ranks, levels and inner
+    /// iterations. The field keeps the name of the frontier scheduler
+    /// these counters used to measure (DESIGN.md §13).
+    pub frontier: ScanStats,
     /// How many times the driver restarted the world from the last
     /// checkpoint after a scheduled rank crash (DESIGN.md §14). Always 0
     /// without a [`ParallelConfig::fault_plan`].
@@ -379,9 +340,11 @@ impl ParallelResult {
     }
 
     /// TEPS under the BSP cost model: input edges per simulated second,
-    /// with one work unit costing `ns_per_unit` nanoseconds (default
-    /// calibration: 20 ns ≈ the handling cost of one fine-grained
-    /// message).
+    /// with one work unit costing `ns_per_unit` nanoseconds. The unit is
+    /// not calibrated: divide a run's wall time by its
+    /// [`ParallelResult::sim_total_units`] on the host at hand (perfbench
+    /// reports this as `parallel.r1.ns_per_unit`) rather than assuming a
+    /// constant.
     #[must_use]
     pub fn teps_simulated(&self, ns_per_unit: f64) -> f64 {
         let t = self.sim_first_level_units * ns_per_unit * 1e-9;
@@ -432,216 +395,206 @@ struct RankLevel {
     label: Vec<u32>,
     /// `Σ_tot` per *owned community* (local community index).
     tot: Vec<f64>,
-    /// `Σ_in` per owned community.
-    internal: Vec<f64>,
     /// Member count per owned community (for the singleton swap guard).
     size: Vec<u32>,
 }
 
-/// Per-level index over the local In-Table that makes delta-based state
-/// propagation O(migrations), plus the community cache it patches
-/// against (DESIGN.md §10).
+/// The per-level row store (DESIGN.md §10): what FIND BEST, UPDATE, STATE
+/// PROPAGATION and `Σ_in` read about the neighbourhoods of a rank's local
+/// vertices, stored once.
 ///
-/// `srcs`/`labels`/`offsets`/`pairs` serve the *receiver* side: a delta
-/// `(u, c_new)` is applied by looking up `u` in `srcs` and re-pointing
-/// every affected Out-Table row `(d, labels[u]) → (d, c_new)` by weight.
-/// `out_offsets`/`out_srcs` serve the *sender* side: the sorted neighbor
-/// sources of each local vertex, i.e. exactly the rows other ranks hold
-/// for it, so a migration is announced to precisely the owners that need
-/// the patch.
+/// Each local vertex keeps its in-arcs as a CSR slice of
+/// `(source slot, weight)`, sorted by source id. Each distinct source has
+/// one slot, holding its *cached* community label; the self-loop weight
+/// `a_uu` sits apart. A received `(u, c_new)` delta is one label
+/// overwrite, and every `w(u→c)` is a fresh sum over the arcs, in sorted
+/// source order, each time it is read.
 ///
-/// The whole structure is derived from the In-Table, which is immutable
-/// within a level — so the cache's epoch *is* the level, and GRAPH
-/// RECONSTRUCTION (which replaces the In-Table) is the one event that
-/// invalidates it.
-struct RemoteCache {
-    /// Sorted distinct source vertices appearing in the local In-Table.
+/// The store is derived from the In-Table, which is immutable within a
+/// level — so its epoch *is* the level, and GRAPH RECONSTRUCTION (which
+/// replaces the In-Table) is the one event that invalidates it.
+struct RowStore {
+    /// Sorted distinct source vertices (global ids) of the local in-arcs.
     srcs: Vec<u32>,
-    /// Cached community of `srcs[i]`, kept current by applied deltas.
-    /// Initialized to the identity labels every level starts with.
+    /// Cached community of `srcs[i]`, current as of the last applied
+    /// delta batch. Identity at level start: every level begins with
+    /// singleton communities `c = v`, known without communication.
     labels: Vec<u32>,
-    /// CSR offsets into `pairs`, one slice per entry of `srcs`.
+    /// CSR offsets into `arcs`, one slice per local vertex.
     offsets: Vec<usize>,
-    /// `(local vertex, weight)` Out-Table rows affected by each source,
-    /// sorted by (source, vertex) — deterministic regardless of the
-    /// In-Table's arrival-order-dependent slot layout.
-    pairs: Vec<(u32, f64)>,
-    /// CSR offsets into `out_srcs`, one slice per local vertex.
-    out_offsets: Vec<usize>,
-    /// Sorted neighbor sources of each local vertex (the transpose view).
-    out_srcs: Vec<u32>,
-    /// Live-contributor count per Out-Table row: `counts[(d, c)]` is the
-    /// number of In-Table sources adjacent to `d` whose cached label is
-    /// `c` (exact small-integer f64s). Row liveness is this count, not
-    /// the row's accumulated weight: FP cancellation of patches need not
-    /// return a vacated row to exactly 0.0 (e.g. `(1e16 + 1.0) - 1e16 -
-    /// 1.0 == -1.0`), so when a count hits zero [`Self::apply_deltas`]
-    /// overwrites the residue with exact 0.0 to keep the consumers'
-    /// `w != 0.0` sentinel sound for arbitrary weights.
-    counts: EdgeTable,
-    /// Live Out-Table rows as `(local vertex, community)` (global ids),
-    /// kept in lockstep with [`Self::counts`]: a row is present exactly
-    /// while its contributor count is positive. The frontier-scheduled
-    /// FIND BEST sweep enumerates an active vertex's candidate
-    /// communities with a range query over this set — in ascending
-    /// community order, deterministically — instead of sweeping the
-    /// whole Out-Table (DESIGN.md §13).
-    vert_adj: BTreeSet<(u32, u32)>,
-    /// Transpose of [`Self::vert_adj`]: `(community, local vertex)`.
-    /// Serves the snapshot-diff wake rule — a bitwise change in a
-    /// community's replicated `Σ_tot`/size entry re-activates every
-    /// local vertex holding a live row into it.
-    comm_adj: BTreeSet<(u32, u32)>,
+    /// `(source slot, weight)` in-arcs of each local vertex, sorted by
+    /// source; self-loops excluded.
+    arcs: Vec<(u32, f64)>,
+    /// Self-loop weight `a_uu` per local vertex (0.0 without one).
+    self_loop: Vec<f64>,
 }
 
-impl RemoteCache {
-    /// Builds the cache for `lvl` (one pass over the In-Table plus two
-    /// sorts). Labels start at the identity mapping because every level
-    /// begins with singleton communities `c = v` — known without
-    /// communication.
+impl RowStore {
+    /// Builds the store for `lvl`: two passes over the In-Table bucket
+    /// the arcs by destination, each vertex's slice is sorted by source,
+    /// and a dense mark over the level's vertex ids numbers the distinct
+    /// sources in ascending order.
     fn build(lvl: &RankLevel, rank: usize) -> Self {
         let part = &lvl.part;
-        let mut triples: Vec<(u32, u32, f64)> = Vec::with_capacity(lvl.in_table.len());
+        let local_n = part.local_count(rank);
+        let mut offsets = vec![0usize; local_n + 1];
+        for (key, _) in lvl.in_table.iter() {
+            let (s, d) = unpack_key(key);
+            if s != d {
+                offsets[part.local_index(d) + 1] += 1;
+            }
+        }
+        for li in 0..local_n {
+            offsets[li + 1] += offsets[li];
+        }
+        let mut self_loop = vec![0.0f64; local_n];
+        let mut cursor = offsets.clone();
+        let mut by_src: Vec<(u32, f64)> = vec![(0, 0.0); offsets[local_n]];
         for (key, w) in lvl.in_table.iter() {
             let (s, d) = unpack_key(key);
-            triples.push((s, d, w));
-        }
-        // Keys are distinct `(s, d)` pairs, so this order is total.
-        triples.sort_unstable_by_key(|&(s, d, _)| (s, d));
-        let mut srcs: Vec<u32> = Vec::new();
-        let mut offsets: Vec<usize> = Vec::new();
-        let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(triples.len());
-        for &(s, d, w) in &triples {
-            if srcs.last() != Some(&s) {
-                srcs.push(s);
-                offsets.push(pairs.len());
-            }
-            pairs.push((d, w));
-        }
-        offsets.push(pairs.len());
-        let labels = srcs.clone();
-        // Transpose: neighbor sources per local vertex, sorted.
-        let local_n = part.local_count(rank);
-        let mut degree = vec![0usize; local_n];
-        for &(_, d, _) in &triples {
-            degree[part.local_index(d)] += 1;
-        }
-        let mut out_offsets = vec![0usize; local_n + 1];
-        for li in 0..local_n {
-            out_offsets[li + 1] = out_offsets[li] + degree[li];
-        }
-        let mut out_srcs = vec![0u32; triples.len()];
-        let mut cursor = out_offsets.clone();
-        for &(s, d, _) in &triples {
             let li = part.local_index(d);
-            out_srcs[cursor[li]] = s;
-            cursor[li] += 1;
+            if s == d {
+                self_loop[li] = w;
+            } else {
+                by_src[cursor[li]] = (s, w);
+                cursor[li] += 1;
+            }
         }
+        // Keys are distinct `(s, d)` pairs, so each slice's order is total.
         for li in 0..local_n {
-            out_srcs[out_offsets[li]..out_offsets[li + 1]].sort_unstable();
+            by_src[offsets[li]..offsets[li + 1]].sort_unstable_by_key(|&(s, _)| s);
         }
-        // At the identity labelling every Out-Table row (d, s) has
-        // exactly one contributor: the In-Table entry (s, d).
-        let mut counts = EdgeTable::new(triples.len().max(8));
-        // The adjacency views start at the same identity rows: Out-Table
-        // row (d, s) is live for every In-Table entry (s, d).
-        let mut vert_adj: BTreeSet<(u32, u32)> = BTreeSet::new();
-        let mut comm_adj: BTreeSet<(u32, u32)> = BTreeSet::new();
-        for &(s, d, _) in &triples {
-            counts.accumulate(pack_key(d, s), 1.0);
-            vert_adj.insert((d, s));
-            comm_adj.insert((s, d));
+        let mut slot_of = vec![u32::MAX; lvl.n];
+        for &(s, _) in &by_src {
+            slot_of[s as usize] = 0;
         }
+        let mut srcs: Vec<u32> = Vec::new();
+        for (v, slot) in slot_of.iter_mut().enumerate() {
+            if *slot != u32::MAX {
+                *slot = srcs.len() as u32;
+                srcs.push(v as u32);
+            }
+        }
+        let arcs = by_src
+            .iter()
+            .map(|&(s, w)| (slot_of[s as usize], w))
+            .collect();
         Self {
+            labels: srcs.clone(),
             srcs,
-            labels,
             offsets,
-            pairs,
-            out_offsets,
-            out_srcs,
-            counts,
-            vert_adj,
-            comm_adj,
+            arcs,
+            self_loop,
         }
     }
 
-    /// Applies a batch of received `(vertex, new_community)` deltas to
-    /// the persistent Out-Table.
-    ///
-    /// Deltas are sorted by vertex id before application, so the patched
-    /// table is a function of the *set* of migrations — independent of
-    /// message delivery order, which the perturbation harness scrambles.
-    /// (Each vertex migrates at most once per sweep and only its owner
-    /// announces it, so vertex id is a total order over the batch.)
-    ///
-    /// Liveness is tracked structurally through [`Self::counts`]: moving
-    /// a contributor decrements the old row's count and increments the
-    /// new one's, and a row whose count reaches zero has its weight
-    /// overwritten with exact 0.0 rather than trusting `+w`/`-w` FP
-    /// cancellation — see the field docs and DESIGN.md §10.
-    fn apply_deltas(
-        &mut self,
-        out_table: &mut EdgeTable,
-        deltas: &mut [(u32, u32)],
-        dirty: &mut Vec<(u32, u32)>,
-    ) {
-        deltas.sort_unstable();
-        for &(u, c_new) in deltas.iter() {
-            // Only owners of neighbors of `u` receive its delta, so the
-            // lookup always hits; guard anyway rather than unwrap (P1).
-            let Ok(idx) = self.srcs.binary_search(&u) else {
-                continue;
-            };
-            let c_old = self.labels[idx];
-            if c_old == c_new {
-                continue;
-            }
-            self.labels[idx] = c_new;
-            for &(d, w) in &self.pairs[self.offsets[idx]..self.offsets[idx + 1]] {
-                let old_key = pack_key(d, c_old);
-                let new_key = pack_key(d, c_new);
-                self.counts.accumulate(old_key, -1.0);
-                let remaining = self.counts.get(old_key).unwrap_or(0.0);
-                debug_assert!(remaining >= 0.0, "contributor count went negative");
-                // Every row whose stored weight changes *bitwise* is
-                // reported as `(vertex, community)` for wake rule W1: the
-                // find-best inputs the snapshot-diff rule W2 cannot see
-                // are exactly the row weights, and this is the one place
-                // that knows precisely which rows moved. (W2's diff can
-                // even be blind to the whole migration: a community that
-                // loses one vertex and gains another of bitwise-equal
-                // degree has `Σ_tot` and size land back on identical
-                // bits.) Deltas are applied in sorted order, so the dirty
-                // list is a function of the delta set —
-                // schedule-invariant like every other wake source.
-                let before = out_table.get(old_key).unwrap_or(0.0);
-                #[allow(clippy::float_cmp)]
-                // lint: allow(F1) — contributor counts are exact small-integer-valued f64s
-                if remaining == 0.0 {
-                    // Last contributor left: kill the residue exactly
-                    // (x + (-x) == +0.0 for every finite x), and retire
-                    // the row from both adjacency views.
-                    out_table.accumulate(old_key, -before);
-                    self.vert_adj.remove(&(d, c_old));
-                    self.comm_adj.remove(&(c_old, d));
-                } else {
-                    out_table.accumulate(old_key, -w);
-                }
-                if before.to_bits() != out_table.get(old_key).unwrap_or(0.0).to_bits() {
-                    dirty.push((d, c_old));
-                }
-                self.counts.accumulate(new_key, 1.0);
-                // Row birth and survival are both plain set inserts — the
-                // sets mirror `counts > 0` without any float compare.
-                self.vert_adj.insert((d, c_new));
-                self.comm_adj.insert((c_new, d));
-                let before = out_table.get(new_key).unwrap_or(0.0);
-                out_table.accumulate(new_key, w);
-                if before.to_bits() != out_table.get(new_key).unwrap_or(0.0).to_bits() {
-                    dirty.push((d, c_new));
-                }
+    /// The in-arcs of local vertex `li`.
+    fn arcs_of(&self, li: usize) -> &[(u32, f64)] {
+        &self.arcs[self.offsets[li]..self.offsets[li + 1]]
+    }
+
+    /// Global id of the source in `slot`.
+    fn source(&self, slot: u32) -> u32 {
+        self.srcs[slot as usize]
+    }
+
+    /// `w(u→c)` for local vertex `li` under the cached labels, self-loop
+    /// excluded.
+    fn weight_to(&self, li: usize, c: u32) -> f64 {
+        let mut w = 0.0;
+        for &(slot, x) in self.arcs_of(li) {
+            if self.labels[slot as usize] == c {
+                w += x;
             }
         }
+        w
+    }
+
+    /// Applies a batch of received `(vertex, new_community)` deltas: one
+    /// cached-label overwrite each. The batch is sorted first, so the
+    /// labels are a function of the *set* of migrations — independent of
+    /// message delivery order, which the perturbation harness scrambles.
+    /// (Each vertex migrates at most once per sweep and only its owner
+    /// announces it.) Returns the number of labels written.
+    fn apply_deltas(&mut self, deltas: &mut [(u32, u32)]) -> usize {
+        deltas.sort_unstable();
+        let mut written = 0;
+        for &(u, c_new) in deltas.iter() {
+            // Only owners of neighbours of `u` receive its delta, so the
+            // lookup always hits; guard anyway rather than unwrap (P1).
+            if let Ok(slot) = self.srcs.binary_search(&u) {
+                self.labels[slot] = c_new;
+                written += 1;
+            }
+        }
+        written
+    }
+
+    /// The paper's hash Out-Table under the cached labels: row `(u, c)`
+    /// holds `w(u→c)`, the self-loop included in `u`'s own row. Built once
+    /// per level, for GRAPH RECONSTRUCTION; arcs fold in sorted order, so
+    /// the row weights are a function of the arc multiset.
+    fn out_table(&self, lvl: &RankLevel, rank: usize) -> EdgeTable {
+        let mut out_table = EdgeTable::new(self.arcs.len().max(8));
+        for (li, &c_u) in lvl.label.iter().enumerate() {
+            let u = lvl.part.global(rank, li);
+            for &(slot, w) in self.arcs_of(li) {
+                out_table.accumulate(pack_key(u, self.labels[slot as usize]), w);
+            }
+            let a_uu = self.self_loop[li];
+            #[allow(clippy::float_cmp)]
+            // lint: allow(F1) — 0.0 is the row store's "no self-loop" marker
+            if a_uu != 0.0 {
+                out_table.accumulate(pack_key(u, c_u), a_uu);
+            }
+        }
+        out_table
+    }
+}
+
+/// Dense FIND BEST scratch (DESIGN.md §10): `w(u→c)` summed by community
+/// id, with the touched ids listed so a reset costs only what one scan
+/// wrote.
+struct Scratch {
+    weight: Vec<f64>,
+    seen: Vec<bool>,
+    touched: Vec<u32>,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Self {
+            weight: vec![0.0; n],
+            seen: vec![false; n],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Sums the in-arcs of local vertex `li` by cached source label, in
+    /// sorted source order.
+    fn load(&mut self, rows: &RowStore, li: usize) {
+        for &(slot, w) in rows.arcs_of(li) {
+            let c = rows.labels[slot as usize];
+            if !self.seen[c as usize] {
+                self.seen[c as usize] = true;
+                self.touched.push(c);
+            }
+            self.weight[c as usize] += w;
+        }
+    }
+
+    /// `w(u→c)` of the loaded vertex (0.0 for an untouched community).
+    fn get(&self, c: u32) -> f64 {
+        self.weight[c as usize]
+    }
+
+    /// Resets what the last [`Scratch::load`] wrote.
+    fn clear(&mut self) {
+        for &c in &self.touched {
+            self.weight[c as usize] = 0.0;
+            self.seen[c as usize] = false;
+        }
+        self.touched.clear();
     }
 }
 
@@ -667,13 +620,9 @@ struct RankOutput {
     sim_breakdown: SimBreakdown,
     syncs: u64,
     bytes_sent: u64,
-    /// Remote-state caches discarded because reconstruction replaced the
-    /// In-Table they indexed.
+    /// Row stores discarded because reconstruction replaced the In-Table
+    /// they were built from.
     cache_invalidations: u64,
-    /// This rank's frontier counters, summed over levels and iterations.
-    frontier: FrontierStats,
-    /// This rank's first-level frontier occupancy per inner iteration.
-    frontier_occupancy: Vec<u64>,
     /// Simulated clock at each completed level boundary (identical on
     /// every rank; only levels executed by this attempt — a resumed
     /// attempt reports boundaries from its restart point on).
@@ -847,17 +796,15 @@ impl ParallelLouvain {
         let syncs = rank_outputs[0].syncs;
         let bytes_sent = rank_outputs.iter().map(|r| r.bytes_sent).sum();
         let cache_invalidations = rank_outputs.iter().map(|r| r.cache_invalidations).sum();
-        let frontier = rank_outputs
-            .iter()
-            .fold(FrontierStats::default(), |acc, r| acc.sum(&r.frontier));
-        // Iterations are global lockstep, so every rank recorded the same
-        // number of first-level occupancy entries; fold element-wise.
-        let mut frontier_occupancy = vec![0u64; rank_outputs[0].frontier_occupancy.len()];
-        for r in &rank_outputs {
-            for (acc, &v) in frontier_occupancy.iter_mut().zip(&r.frontier_occupancy) {
-                *acc += v;
-            }
-        }
+        // FIND BEST is the full scan: every vertex of a level once per
+        // inner iteration, so the count follows from the hierarchy.
+        let frontier = ScanStats {
+            active_vertices: levels
+                .iter()
+                .map(|l| (l.num_vertices * l.inner_iterations) as u64)
+                .sum(),
+            skipped_scans: 0,
+        };
         let traces: Vec<RankTrace> = rank_outputs
             .iter_mut()
             .filter_map(|r| r.trace.take())
@@ -894,7 +841,6 @@ impl ParallelLouvain {
             traces,
             protocol_logs,
             frontier,
-            frontier_occupancy,
             recovery_replays,
             checkpoints_taken: store.total_taken(),
             checkpoint_bytes: store.total_bytes(),
@@ -926,8 +872,6 @@ struct LoopState {
     level_orig_comms: Vec<Vec<u32>>,
     q_prev_level: f64,
     cache_invalidations: u64,
-    frontier_stats: FrontierStats,
-    frontier_occupancy: Vec<u64>,
 }
 
 /// The per-rank driver: Algorithm 2.
@@ -964,10 +908,7 @@ fn rank_main(
         mut level_orig_comms,
         mut q_prev_level,
         mut cache_invalidations,
-        mut frontier_stats,
-        mut frontier_occupancy,
     } = st;
-    let mut out_table = EdgeTable::new(lvl.in_table.len().max(8));
     let mut first_level_time = Duration::ZERO;
     let mut sim_first_level_units = 0.0f64;
     let mut level_boundary_clocks: Vec<f64> = Vec::new();
@@ -991,25 +932,28 @@ fn rank_main(
         arc_load += lvl.in_table.len() as u64;
         let level_start = Stopwatch::start();
         let record_inner = level_idx == 0;
-        // The remote-state cache is an index over the In-Table, which is
-        // immutable within a level — its epoch IS the level. Graph
-        // reconstruction replaced the In-Table, so every level after the
-        // first begins by discarding the stale cache (DESIGN.md §10).
+        // The row store is derived from the In-Table, which is immutable
+        // within a level — its epoch IS the level. Graph reconstruction
+        // replaced the In-Table, so every level after the first begins by
+        // discarding the stale store (DESIGN.md §10).
         if level_idx > 0 {
             cache_invalidations += 1;
         }
-        let mut cache = RemoteCache::build(&lvl, ctx.rank());
         // --- REFINE (Algorithm 4) ---
         louvain_trace::emit_with(|| Event::Enter {
             phase: "refine",
             clock: ctx.sim_clock_units(),
         });
         let refine_start = Stopwatch::start();
-        let (q, iterations, fractions, q_trace) = refine(
+        let Refined {
+            rows,
+            q,
+            iterations,
+            fractions,
+            q_trace,
+        } = refine(
             ctx,
             &mut lvl,
-            &mut cache,
-            &mut out_table,
             s,
             cfg,
             &mut timers,
@@ -1018,12 +962,6 @@ fn rank_main(
             &mut work,
             if record_inner {
                 Some(&mut inner_timings)
-            } else {
-                None
-            },
-            &mut frontier_stats,
-            if record_inner {
-                Some(&mut frontier_occupancy)
             } else {
                 None
             },
@@ -1043,7 +981,7 @@ fn rank_main(
         let sent_before = ctx.sent_messages();
         let sim_before = ctx.sim_clock_units();
         let work_before = ctx.charged_units();
-        let (next, n_next) = reconstruct(ctx, &lvl, &out_table, &mut orig_comm, cfg);
+        let (next, n_next) = reconstruct(ctx, &lvl, rows, &mut orig_comm, cfg);
         comm.reconstruction += ctx.sent_messages() - sent_before;
         sim.reconstruction += ctx.sim_clock_units() - sim_before;
         work.reconstruction += ctx.charged_units() - work_before;
@@ -1104,8 +1042,6 @@ fn rank_main(
                 &level_orig_comms,
                 q_prev_level,
                 cache_invalidations,
-                &frontier_stats,
-                &frontier_occupancy,
                 &orig_vertices,
             );
             checkpoints_written += 1;
@@ -1143,21 +1079,6 @@ fn rank_main(
     louvain_trace::emit_with(|| Event::Count {
         name: "runtime.dedup_hits",
         value: ctx.dedup_hits(),
-    });
-    // Frontier-scheduling counters (DESIGN.md §13). All three are
-    // rank-local program-order tallies over schedule-invariant wake
-    // sets, so the trace contract of §9 holds.
-    louvain_trace::emit_with(|| Event::Count {
-        name: "frontier.active_vertices",
-        value: frontier_stats.active_vertices,
-    });
-    louvain_trace::emit_with(|| Event::Count {
-        name: "frontier.reactivations",
-        value: frontier_stats.reactivations,
-    });
-    louvain_trace::emit_with(|| Event::Count {
-        name: "frontier.skipped_scans",
-        value: frontier_stats.skipped_scans,
     });
     // Partitioning observables (DESIGN.md §15): this rank's share of
     // the arc load the partition strategy balances and its level-0
@@ -1227,8 +1148,6 @@ fn rank_main(
         syncs: ctx.sync_count(),
         bytes_sent: ctx.bytes_sent(),
         cache_invalidations,
-        frontier: frontier_stats,
-        frontier_occupancy,
         level_boundary_clocks,
         work_breakdown: work,
         arc_load,
@@ -1295,8 +1214,6 @@ fn fresh_rank_state(
         level_orig_comms: Vec::new(),
         q_prev_level: f64::NEG_INFINITY,
         cache_invalidations: 0,
-        frontier_stats: FrontierStats::default(),
-        frontier_occupancy: Vec::new(),
     }
 }
 
@@ -1359,11 +1276,6 @@ fn take_resume_state(
         k: cp.k_bits.iter().map(|&b| f64::from_bits(b)).collect(),
         label: cp.label,
         tot: cp.tot_bits.iter().map(|&b| f64::from_bits(b)).collect(),
-        internal: cp
-            .internal_bits
-            .iter()
-            .map(|&b| f64::from_bits(b))
-            .collect(),
         size: cp.size,
     };
     Some(LoopState {
@@ -1377,8 +1289,6 @@ fn take_resume_state(
         level_orig_comms: cp.level_orig_comms,
         q_prev_level: f64::from_bits(cp.q_prev_level_bits),
         cache_invalidations: cp.cache_invalidations,
-        frontier_stats: cp.frontier,
-        frontier_occupancy: cp.frontier_occupancy,
     })
 }
 
@@ -1401,8 +1311,6 @@ fn write_level_checkpoint(
     level_orig_comms: &[Vec<u32>],
     q_prev_level: f64,
     cache_invalidations: u64,
-    frontier_stats: &FrontierStats,
-    frontier_occupancy: &[u64],
     orig_vertices: &[u32],
 ) -> u64 {
     // The In-Table is persisted as its sorted (key, weight-bits)
@@ -1427,7 +1335,6 @@ fn write_level_checkpoint(
         k_bits: lvl.k.iter().map(|x| x.to_bits()).collect(),
         label: lvl.label.clone(),
         tot_bits: lvl.tot.iter().map(|x| x.to_bits()).collect(),
-        internal_bits: lvl.internal.iter().map(|x| x.to_bits()).collect(),
         size: lvl.size.clone(),
         orig_comm: orig_comm.to_vec(),
         orig_vertices: orig_vertices.to_vec(),
@@ -1438,8 +1345,6 @@ fn write_level_checkpoint(
         part_owners: lvl.part.owners().map(<[u32]>::to_vec).unwrap_or_default(),
         levels: levels.iter().map(LevelSnapshot::of).collect(),
         level_orig_comms: level_orig_comms.to_vec(),
-        frontier: *frontier_stats,
-        frontier_occupancy: frontier_occupancy.to_vec(),
         protocol_log: ctx
             .protocol_log_snapshot()
             .iter()
@@ -1520,7 +1425,6 @@ fn build_initial_level(
     // rank (v mod p == c mod p).
     let label: Vec<u32> = part.local_vertices(rank).collect();
     let tot = k.clone();
-    let internal = vec![0.0f64; local_n];
     let size = vec![1u32; local_n];
     RankLevel {
         n,
@@ -1529,7 +1433,6 @@ fn build_initial_level(
         k,
         label,
         tot,
-        internal,
         size,
     }
 }
@@ -1607,7 +1510,6 @@ fn build_initial_level_distributed(
     }
     let label: Vec<u32> = part.local_vertices(rank).collect();
     let tot = k.clone();
-    let internal = vec![0.0f64; local_n];
     let size = vec![1u32; local_n];
     RankLevel {
         n,
@@ -1616,43 +1518,21 @@ fn build_initial_level_distributed(
         k,
         label,
         tot,
-        internal,
         size,
     }
 }
 
-/// STATE PROPAGATION (Algorithm 3), level-start edition: every level
-/// begins with singleton communities `c = v`, and the In-Table stores
-/// each edge symmetrically on both endpoints' owners — so the initial
-/// Out-Table is a pure re-keying of local data. Zero messages; the old
-/// implementation shipped one message per arc here (DESIGN.md §10).
-fn build_out_table_local(lvl: &RankLevel, out_table: &mut EdgeTable) {
-    out_table.reset_for(lvl.in_table.len().max(8));
-    for (key, w) in lvl.in_table.iter() {
-        let (s, d) = unpack_key(key);
-        out_table.accumulate(pack_key(d, s), w);
-    }
-}
-
-/// STATE PROPAGATION (Algorithm 3), steady-state edition: instead of
-/// rebuilding the Out-Table from scratch, each rank announces only the
-/// vertices that migrated this sweep as `(vertex, new_community)` deltas
-/// — keyed sends, so a vertex with many neighbors on one rank costs one
-/// message. Received deltas are buffered and applied in sorted vertex
-/// order by [`RemoteCache::apply_deltas`], which moves each affected
-/// row's weight from the cached old community to the new one and
-/// structurally zeroes rows whose last contributor left (DESIGN.md §10).
 /// The v1 full per-arc rebuild (ablation/testing only): re-announce every
-/// local vertex's label along every out-arc, whether it moved or not.
-/// [`RemoteCache::apply_deltas`] skips no-op rows, so the patched table is
-/// identical to the delta path's — this arm exists so the cost-conformance
-/// suite can show the volume verifier catching the
+/// local vertex's label along every in-arc, whether it moved or not.
+/// Overwriting a cached label with its own value is a no-op, so the
+/// labels end up identical to the delta path's — this arm exists so the
+/// cost-conformance suite can show the volume verifier catching the
 /// `O(local_arcs)`-per-iteration regression the delta path was built to
 /// eliminate (DESIGN.md §12).
 fn send_full_rebuild(
     ex: &mut Exchange<'_, '_, Msg>,
     lvl: &RankLevel,
-    cache: &RemoteCache,
+    rows: &RowStore,
     rank: usize,
 ) {
     let part = &lvl.part;
@@ -1660,32 +1540,40 @@ fn send_full_rebuild(
     for li in 0..local_n {
         let v = part.global(rank, li);
         let c = lvl.label[li];
-        for &s in &cache.out_srcs[cache.out_offsets[li]..cache.out_offsets[li + 1]] {
-            ex.send(part.owner(s), Msg { a: v, b: c, w: 0.0 });
+        // Spelled as a slice of `arcs` (not `arcs_of`) so the cost
+        // analysis classifies this site `O(local_arcs)` (DESIGN.md §12).
+        for &(slot, _) in &rows.arcs[rows.offsets[li]..rows.offsets[li + 1]] {
+            ex.send(part.owner(rows.source(slot)), Msg { a: v, b: c, w: 0.0 });
         }
     }
 }
 
+/// STATE PROPAGATION (Algorithm 3), delta edition: each rank announces
+/// only the vertices that migrated this sweep, as `(vertex,
+/// new_community)` pairs, to the owners of their neighbours — keyed
+/// sends, so a vertex with many neighbours on one rank costs one message.
+/// Received deltas are buffered and applied in sorted vertex order by
+/// [`RowStore::apply_deltas`], one cached-label overwrite each
+/// (DESIGN.md §10). Returns the number of labels written.
 fn propagate_deltas(
     ctx: &mut RankCtx<'_, Msg>,
     lvl: &RankLevel,
-    cache: &mut RemoteCache,
-    out_table: &mut EdgeTable,
+    rows: &mut RowStore,
     migrated: &[(u32, u32)],
-    frontier: &mut Frontier,
     v1_state_rebuild: bool,
-) {
+) -> usize {
     let part = &lvl.part;
     let rank = ctx.rank();
     let mut ex = ctx.exchange();
     if v1_state_rebuild {
-        send_full_rebuild(&mut ex, lvl, cache, rank);
+        send_full_rebuild(&mut ex, lvl, rows, rank);
     } else {
         for &(u, c_new) in migrated {
-            let li = part.local_index(u);
-            for &s in &cache.out_srcs[cache.out_offsets[li]..cache.out_offsets[li + 1]] {
+            // The graph is symmetric: `u`'s in-arc sources are exactly
+            // the vertices whose rows hold an arc from `u`.
+            for &(slot, _) in rows.arcs_of(part.local_index(u)) {
                 ex.send_keyed(
-                    part.owner(s),
+                    part.owner(rows.source(slot)),
                     u64::from(u),
                     Msg {
                         a: u,
@@ -1696,24 +1584,11 @@ fn propagate_deltas(
             }
         }
     }
-    // Buffer first, patch after: the patched table must be a function of
-    // the delta *set*, not of the (perturbable) delivery order.
+    // Buffer first, apply after: the labels must be a function of the
+    // delta *set*, not of the (perturbable) delivery order.
     let mut deltas: Vec<(u32, u32)> = Vec::new();
     ex.finish(|m| deltas.push((m.a, m.b)));
-    // Wake rule W1 — remote re-activation, piggybacked on the deltas
-    // (DESIGN.md §13): a received `(u, c_new)` that changes `u`'s cached
-    // label patches the Out-Table rows of `u`'s local neighbors. The
-    // patcher reports every row whose stored weight changed bitwise, and
-    // those `(vertex, candidate)` pairs are handed to the frontier; the
-    // next snapshot-diff pass classifies each into a full re-scan (own
-    // row or cached winner touched) or an O(1) scan patch. No-op
-    // announcements (the v1 full rebuild re-sends unmoved labels) patch
-    // no rows and dirty nothing, so both ablations schedule identically.
-    let mut dirty: Vec<(u32, u32)> = Vec::new();
-    cache.apply_deltas(out_table, &mut deltas, &mut dirty);
-    for &(d, c) in &dirty {
-        frontier.mark_row_dirty(part.local_index(d), c);
-    }
+    rows.apply_deltas(&mut deltas)
 }
 
 /// Gathers a replicated snapshot (global community id → value) from each
@@ -1747,92 +1622,21 @@ fn lex_gt(g1: f64, c1: u32, g2: f64, c2: u32) -> bool {
     }
 }
 
-/// Depth of the per-vertex candidate summary kept for the patch pass.
-const SUMMARY_K: usize = 4;
-
-/// Exact-prefix candidate summary (DESIGN.md §13). Invariant: the first
-/// `v` slots of `e` are, in descending `(gain, id)` lexicographic order,
-/// *exactly* the top `v` contributing entries of the vertex's cached
-/// best-move fold (the sentinel `(0.0, c_u)` included), and every other
-/// contributing entry is lexicographically ≤ `bound`. A full scan fills
-/// the whole prefix; a patch group re-folds the changed entries together
-/// with the surviving prefix and keeps however much of the result still
-/// clears the bound — so winner demotions resolve in O(group) as long as
-/// the churn has not eaten through the whole prefix, and only then does
-/// the vertex escalate to a full re-scan.
-#[derive(Clone, Copy)]
-struct CandSummary {
-    e: [(f64, u32); SUMMARY_K],
-    v: u8,
-    bound: (f64, u32),
+/// What one REFINE phase hands to GRAPH RECONSTRUCTION: the level's row
+/// store (its labels current) and the level summary.
+struct Refined {
+    rows: RowStore,
+    q: f64,
+    iterations: usize,
+    fractions: Vec<f64>,
+    q_trace: Vec<f64>,
 }
 
-impl CandSummary {
-    fn empty() -> Self {
-        Self {
-            e: [(f64::NEG_INFINITY, 0); SUMMARY_K],
-            v: 0,
-            bound: (f64::NEG_INFINITY, 0),
-        }
-    }
-
-    /// The summary of a vertex with no contributing candidates at all:
-    /// the fold is the sentinel constant and nothing is hiding below it.
-    fn sentinel_only(c_u: u32) -> Self {
-        let mut s = Self::empty();
-        s.e[0] = (0.0, c_u);
-        s.v = 1;
-        s
-    }
-
-    /// Sorted insert of one contributing entry. Entry ids are distinct,
-    /// so the `(gain, id)` order is strict and the fold result does not
-    /// depend on the fold order. Entries pushed off the bottom are
-    /// ≤ the final last slot, which `seal`/the patch pass fold into the
-    /// bound.
-    #[inline]
-    fn fold(&mut self, g: f64, c: u32) {
-        let filled = self.v as usize;
-        let mut i = 0;
-        while i < filled {
-            if lex_gt(g, c, self.e[i].0, self.e[i].1) {
-                break;
-            }
-            i += 1;
-        }
-        if i < SUMMARY_K {
-            let upto = filled.min(SUMMARY_K - 1);
-            for j in (i..upto).rev() {
-                self.e[j + 1] = self.e[j];
-            }
-            self.e[i] = (g, c);
-            if filled < SUMMARY_K {
-                self.v = (filled + 1) as u8;
-            }
-        }
-    }
-
-    /// Closes a full-scan fold: every entry was enumerated, so the
-    /// prefix is exact and anything pushed off the bottom is bounded by
-    /// the last slot.
-    fn seal(&mut self) {
-        self.bound = if (self.v as usize) == SUMMARY_K {
-            self.e[SUMMARY_K - 1]
-        } else {
-            (f64::NEG_INFINITY, 0)
-        };
-    }
-}
-
-/// The inner loop (Algorithm 4), frontier-scheduled (DESIGN.md §13).
-/// Returns (final modularity, iterations, per-iteration global move
-/// fractions).
+/// The inner loop (Algorithm 4).
 #[allow(clippy::too_many_arguments)]
 fn refine(
     ctx: &mut RankCtx<'_, Msg>,
     lvl: &mut RankLevel,
-    cache: &mut RemoteCache,
-    out_table: &mut EdgeTable,
     s: f64,
     cfg: &ParallelConfig,
     timers: &mut PhaseTimers,
@@ -1840,29 +1644,17 @@ fn refine(
     sim: &mut SimBreakdown,
     work: &mut SimBreakdown,
     mut inner_timings: Option<&mut Vec<InnerIterationTiming>>,
-    frontier_stats: &mut FrontierStats,
-    mut occupancy: Option<&mut Vec<u64>>,
-) -> (f64, usize, Vec<f64>, Vec<f64>) {
+) -> Refined {
     let rank = ctx.rank();
     let local_n = lvl.part.local_count(rank);
     let mut m_u = vec![0.0f64; local_n];
     let mut best = vec![0u32; local_n];
-    // Exact-prefix candidate summaries for the patch pass (DESIGN.md
-    // §13): the top `SUMMARY_K` entries of each vertex's cached lexmax
-    // fold, plus a bound on everything below them. A demotion of the
-    // cached winner resolves in O(group) against the surviving prefix;
-    // only when patch churn has pushed every known entry under the bound
-    // does the vertex escalate to a full re-scan.
-    let mut summ = vec![CandSummary::empty(); local_n];
-    // The scheduler and the previous iteration's replicated snapshots
-    // (for the bitwise diff of wake rule W2). Vertices off the scan
-    // frontier keep their *cached* `m_u`/`best` — every input of their
-    // last scan is bitwise unchanged (else a wake rule would have fired),
-    // so the untouched entries still feed `compute_threshold` and the
-    // UPDATE sweep the exact values a full rescan would produce.
-    let mut frontier = Frontier::new(local_n, lvl.n);
-    let mut prev_tot: Vec<f64> = Vec::new();
-    let mut prev_size: Vec<f64> = Vec::new();
+    // `w(u→c_u)` and `w(u→best)` as the scan summed them. The cached
+    // labels only change at the next propagation, so these are exactly
+    // what the UPDATE re-vet would sum again.
+    let mut w_own = vec![0.0f64; local_n];
+    let mut w_best = vec![0.0f64; local_n];
+    let mut scratch = Scratch::new(lvl.n);
     let mut fractions = Vec::new();
     let mut q_trace = Vec::new();
     let mut q_prev = f64::NEG_INFINITY;
@@ -1886,12 +1678,12 @@ fn refine(
         work_last = w;
     };
 
-    // Initial propagation (Algorithm 2, line 5): built from purely local
-    // data — the level starts at the identity labelling, so no rank needs
-    // remote state yet. Charge the local pass; the clock realizes it at
-    // the next collective.
+    // Initial propagation (Algorithm 2, line 5): the row store is built
+    // from purely local data — the level starts at the identity
+    // labelling, so no rank needs remote state yet. Charge the local
+    // pass; the clock realizes it at the next collective.
     let t_prop0 = Stopwatch::start();
-    build_out_table_local(lvl, out_table);
+    let mut rows = RowStore::build(lvl, rank);
     ctx.charge(lvl.in_table.len() as f64 * cfg.charge_per_message);
     sim_lap(ctx, &mut sim.state_propagation, &mut work.state_propagation);
     let prop0 = t_prop0.elapsed();
@@ -1905,243 +1697,61 @@ fn refine(
             it_timing.state_propagation += prop0;
         }
 
-        // --- FIND BEST COMMUNITY (frontier-scheduled, DESIGN.md §13) ---
+        // --- FIND BEST COMMUNITY ---
         let t_find = Stopwatch::start();
         let tot_snap = gather_snapshot(ctx, lvl, &lvl.tot);
         let size_local: Vec<f64> = lvl.size.iter().map(|&x| f64::from(x)).collect();
         let size_snap = gather_snapshot(ctx, lvl, &size_local);
-        // Commit this iteration's scan worklist. Iteration 1 seeds the
-        // whole vertex set (as does the `full_rescan` ablation);
-        // afterwards the pending set holds wake rule W1 (delta piggyback,
-        // added during the previous propagation), and wake rule W2 adds
-        // everyone whose own or adjacent community changed bitwise in
-        // the replicated snapshots. Vertices woken by neither rule have
-        // every FIND BEST input bitwise unchanged since their last scan,
-        // so their cached `m_u`/`best` is already the answer. All
-        // collectives stay outside frontier conditionals, so a drained
-        // rank skips work, never a collective.
-        if iter == 1 || cfg.full_rescan {
-            frontier.wake_all();
-        } else {
-            frontier.wake_snapshot_changes(
-                &prev_tot,
-                &tot_snap,
-                &prev_size,
-                &size_snap,
-                &lvl.label,
-                &cache.vert_adj,
-                &cache.comm_adj,
-                |li| lvl.part.global(rank, li),
-                |d| lvl.part.local_index(d),
-            );
-        }
-        // --- Scan patches (DESIGN.md §13) ---
-        // Runs *before* `commit`: a vertex promoted to a full re-scan —
-        // by a wake rule above or by the winner escalation below — sits
-        // in the pending set, and `is_pending` supersedes its patches.
-        // Each surviving patch re-folds one changed candidate entry over
-        // the cached incumbent instead of re-scanning every row. The
-        // result is bitwise equal to a full re-scan: the cached
-        // `(m_u, best)` is the f64 lexmax (`total_cmp`, larger-id
-        // tie-break) over the previous entry set, and every entry
-        // outside the patch group is bitwise unchanged (rows by W1,
-        // snapshots by W2, label/`a_uu`/`k`/own-row by the self-wake and
-        // own-row rules — any of those firing makes the vertex pending).
-        // Two cases per group:
-        //   * the cached winner's own entry changed: recompute its gain
-        //     g'. If g' ≥ cached `m_u` (`total_cmp`), no unchanged entry
-        //     can overtake it — O(1) winner update (on Equal the id
-        //     tie-break keeps the incumbent: every equal-gain unchanged
-        //     entry lost the tie to `b0` before, so it has a smaller
-        //     id). If g' < `m_u`, or the entry is now skipped entirely
-        //     (dead row, singleton guard), the cached max is invalidated
-        //     and the vertex escalates to a full re-scan.
-        //   * a non-winning entry changed: removing a non-argmax entry
-        //     from a lexmax leaves it intact, so folding the entry's
-        //     *new* value over the cached incumbent is exact.
-        let mut rows_patched = 0usize;
-        let mut pi = 0;
-        while pi < frontier.patches.len() {
-            let lv = frontier.patches[pi].0;
-            let li = lv as usize;
-            let mut pj = pi;
-            while pj < frontier.patches.len() && frontier.patches[pj].0 == lv {
-                pj += 1;
-            }
-            if !frontier.is_pending(li) {
-                let u = lvl.part.global(rank, li);
-                let c_u = lvl.label[li];
-                let a_uu = lvl.in_table.get(pack_key(u, u)).unwrap_or(0.0);
-                let w_own = out_table.get(pack_key(u, c_u)).unwrap_or(0.0) - a_uu;
-                let remove_u = dq::remove_gain(w_own, lvl.k[li], tot_snap[c_u as usize], s);
-                // Fold the *known-exact* entries into a fresh summary:
-                // the sentinel `(0.0, c_u)`, each patched candidate's
-                // freshly recomputed entry, and every cached prefix
-                // entry whose candidate is not in the group (unchanged,
-                // so its cached value is still bitwise what a re-scan
-                // would compute). Every entry outside this fold is
-                // lexicographically ≤ the cached bound, so the fold's
-                // max is the true new max whenever it reaches the bound
-                // — and only when it falls short (the new maximum may
-                // hide among the unchanged candidates) does the vertex
-                // escalate to a full re-scan.
-                let old = summ[li];
-                let mut f = CandSummary::empty();
-                f.fold(0.0, c_u);
-                for px in pi..pj {
-                    let c_new = frontier.patches[px].1;
-                    debug_assert_ne!(c_new, c_u);
-                    rows_patched += 1;
-                    let w = out_table.get(pack_key(u, c_new)).unwrap_or(0.0);
-                    #[allow(clippy::float_cmp)]
-                    // lint: allow(F1) — parity with the dead-row sentinel of the delta patcher
-                    if w == 0.0 {
-                        continue; // entry removed: contributes nothing
-                    }
-                    let sz_new = size_snap[c_new as usize];
-                    let sz_u = size_snap[c_u as usize];
-                    #[allow(clippy::float_cmp)]
-                    // lint: allow(F1) — community sizes are exact small-integer-valued f64 counters
-                    let singles = sz_new == 1.0 && sz_u == 1.0;
-                    if cfg.use_heuristic && singles && c_new > c_u {
-                        continue; // guard-skipped: contributes nothing
-                    }
-                    let gain =
-                        remove_u + dq::insert_gain(w, lvl.k[li], tot_snap[c_new as usize], s);
-                    f.fold(gain, c_new);
-                }
-                for i in 0..old.v as usize {
-                    let (g, c) = old.e[i];
-                    // The sentinel is already the fold's seed; a prefix
-                    // entry is unchanged iff it has no patch in the
-                    // group (ids are distinct, groups are small).
-                    if c != c_u && !(pi..pj).any(|px| frontier.patches[px].1 == c) {
-                        f.fold(g, c);
-                    }
-                }
-                // Resolution: a `-∞` bound means the cached fold
-                // enumerated every contributing entry, so nothing is
-                // hiding below the prefix.
-                let bounded = old.bound.0.is_finite();
-                if bounded && lex_gt(old.bound.0, old.bound.1, f.e[0].0, f.e[0].1) {
-                    frontier.wake(li);
-                } else {
-                    // The fold entries that clear the bound are exactly
-                    // the top of the new entry set (no hidden entry can
-                    // interleave above them — pairs are unique, so a
-                    // hidden entry equal to the bound still loses to a
-                    // fold entry at the bound). Entries below stay
-                    // covered: hidden ones by the old bound, fold
-                    // overflow by the last slot when the prefix is full.
-                    if bounded {
-                        let filled = f.v as usize;
-                        f.v = (0..filled)
-                            .take_while(|&i| !lex_gt(old.bound.0, old.bound.1, f.e[i].0, f.e[i].1))
-                            .count() as u8;
-                    }
-                    f.bound = if (f.v as usize) == SUMMARY_K {
-                        f.e[SUMMARY_K - 1]
-                    } else {
-                        old.bound
-                    };
-                    m_u[li] = f.e[0].0;
-                    best[li] = f.e[0].1;
-                    summ[li] = f;
-                    // A patch fold keeps the cached decision exact, so
-                    // eligibility routes through the ledger as usual.
-                    frontier.set_eligible(li, m_u[li] > cfg.min_gain_threshold);
-                }
-            }
-            pi = pj;
-        }
-        frontier.commit(iter == 1);
-        if let Some(occ) = occupancy.as_deref_mut() {
-            occ.push(frontier.worklist.len() as u64);
-        }
-        prev_tot.clone_from(&tot_snap);
-        prev_size.clone_from(&size_snap);
-        let mut rows_scanned = 0usize;
-        // Index loop instead of a worklist iterator: the scan updates the
-        // eligibility ledger of the same frontier mid-iteration.
-        for wi in 0..frontier.worklist.len() {
-            let li = frontier.worklist[wi] as usize;
-            let u = lvl.part.global(rank, li);
+        for li in 0..local_n {
             let c_u = lvl.label[li];
-            let mut cs = CandSummary::empty();
-            cs.fold(0.0, c_u);
-            let a_uu = lvl.in_table.get(pack_key(u, u)).unwrap_or(0.0);
-            let w_own = out_table.get(pack_key(u, c_u)).unwrap_or(0.0) - a_uu;
-            let remove_u = dq::remove_gain(w_own, lvl.k[li], tot_snap[c_u as usize], s);
-            // Candidate communities are exactly the live Out-Table rows
-            // of `u`, enumerated in ascending community order from the
-            // cache's adjacency view — the same candidate set the old
-            // whole-table sweep visited, in a deterministic order.
-            for &(_, c_new) in cache.vert_adj.range((u, 0)..=(u, u32::MAX)) {
-                rows_scanned += 1;
-                if c_new == c_u {
-                    continue;
-                }
-                let w = out_table.get(pack_key(u, c_new)).unwrap_or(0.0);
-                // A live row's accumulated weight can still round to
-                // exactly 0.0 under mixed-magnitude cancellation; the
-                // unscheduled sweep skipped such rows (they are
-                // indistinguishable from structurally dead ones there),
-                // so the frontier path must skip them too for bit parity.
+            let k_u = lvl.k[li];
+            scratch.load(&rows, li);
+            let own = scratch.get(c_u);
+            let remove_u = dq::remove_gain(own, k_u, tot_snap[c_u as usize], s);
+            // The best move is the lexicographic max over (gain,
+            // community id), seeded with staying put at gain 0 —
+            // order-independent, so the order of the touched list does
+            // not matter.
+            let (mut g_best, mut c_best) = (0.0f64, c_u);
+            for &c in &scratch.touched {
+                let w = scratch.get(c);
+                // A community reached only through arcs summing to
+                // exactly 0.0 carries no attraction and is no candidate.
                 #[allow(clippy::float_cmp)]
-                // lint: allow(F1) — parity with the dead-row sentinel of the delta patcher
-                if w == 0.0 {
+                // lint: allow(F1) — an exact-zero sum is "no connecting weight"
+                let weightless = w == 0.0;
+                if c == c_u || weightless {
                     continue;
                 }
                 // Singleton swap guard (minimum-label rule): two singleton
-                // communities deciding to join each other simultaneously would
-                // swap forever on stale state; only the higher-labelled one
-                // may move. Standard symmetric-oscillation breaker for
-                // synchronous Louvain (cf. Lu et al., Grappolo); complements
-                // the paper's ε threshold, which throttles volume but cannot
-                // break exact two-cycles. Part of the convergence machinery,
-                // so disabled in the no-heuristic ablation.
+                // communities deciding to join each other simultaneously
+                // would swap forever on stale state; only the
+                // higher-labelled one may move. Standard symmetric-
+                // oscillation breaker for synchronous Louvain (cf. Lu et
+                // al., Grappolo); complements the paper's ε threshold,
+                // which throttles volume but cannot break exact
+                // two-cycles. Part of the convergence machinery, so
+                // disabled in the no-heuristic ablation.
                 #[allow(clippy::float_cmp)]
                 // lint: allow(F1) — community sizes are exact small-integer-valued f64 counters
-                let singles = size_snap[c_new as usize] == 1.0 && size_snap[c_u as usize] == 1.0;
-                if cfg.use_heuristic && singles && c_new > c_u {
+                let singles = size_snap[c as usize] == 1.0 && size_snap[c_u as usize] == 1.0;
+                if cfg.use_heuristic && singles && c > c_u {
                     continue;
                 }
-                let gain = remove_u + dq::insert_gain(w, lvl.k[li], tot_snap[c_new as usize], s);
-                // The best move is the lexicographic max over
-                // (gain, community id) — order-independent, so the
-                // adjacency-view order and the old arrival-dependent
-                // table order select the identical candidate (the
-                // id tie-break the perturbation harness forced).
-                // Demoted entries cascade down the summary, keeping the
-                // exact top-`SUMMARY_K` of the fold for the patch pass
-                // (`total_cmp` Equal means identical bits, so the
-                // equal-gain promote leaves the max unchanged).
-                cs.fold(gain, c_new);
+                let gain = remove_u + dq::insert_gain(w, k_u, tot_snap[c as usize], s);
+                if lex_gt(gain, c, g_best, c_best) {
+                    (g_best, c_best) = (gain, c);
+                }
             }
-            cs.seal();
-            m_u[li] = cs.e[0].0;
-            best[li] = cs.e[0].1;
-            summ[li] = cs;
-            // Eligibility ledger: a vertex that still sees a worthwhile
-            // gain may merely be ε-throttled this sweep — it can migrate
-            // in a later iteration with *no* further input change, so it
-            // must stay reachable by the UPDATE sweep. Re-scanning it
-            // would be waste, though: with unchanged inputs the cached
-            // decision is already exact, so the ledger — not the scan
-            // frontier — carries it forward.
-            frontier.set_eligible(li, m_u[li] > cfg.min_gain_threshold);
+            m_u[li] = g_best;
+            best[li] = c_best;
+            w_own[li] = own;
+            w_best[li] = scratch.get(c_best);
+            scratch.clear();
         }
-        // The UPDATE sweep below consumes the rebuilt (ascending)
-        // eligible list: freshly scanned vertices contribute their new
-        // verdict, unscanned ones their sticky — and still exact — one.
-        frontier.commit_eligible();
-        // Local compute charge: one unit per candidate row scanned or
-        // patched plus one per active vertex (the remove-gain pass). The
-        // frontier is schedule-invariant, so the charge — and the
-        // simulated clock — remain deterministic.
-        ctx.charge(
-            (rows_scanned + rows_patched + frontier.worklist.len()) as f64 * cfg.charge_per_message,
-        );
+        // Local compute charge: one unit per in-arc summed plus one per
+        // vertex (the remove-gain pass).
+        ctx.charge((rows.arcs.len() + local_n) as f64 * cfg.charge_per_message);
         timers.add(Phase::FindBestCommunity, t_find.elapsed());
         it_timing.find_best = t_find.elapsed();
 
@@ -2175,19 +1785,8 @@ fn refine(
             let part = &lvl.part;
             let label = &mut lvl.label;
             let k = &lvl.k;
-            let in_table = &lvl.in_table;
             let mut ex = ctx.exchange();
-            // Movers are a subset of the eligibility ledger (by
-            // construction: eligible ⟺ cached `m_u` clears the
-            // threshold), and the eligible list is ascending — so this
-            // sweep visits the same candidate vertices in the same order
-            // as the full `0..local_n` scan, and the Gauss-Seidel
-            // `tot_view` evolves bit-identically. ε-throttled vertices
-            // ride along on their cached decision without having been
-            // re-scanned. Index loop: the mover self-wake below re-arms
-            // the pending set of the same frontier mid-sweep.
-            for ei in 0..frontier.eligible_list.len() {
-                let li = frontier.eligible_list[ei] as usize;
+            for li in 0..local_n {
                 if m_u[li] > cfg.min_gain_threshold && m_u[li] >= threshold {
                     let c_old = label[li];
                     let c_new = best[li];
@@ -2197,12 +1796,9 @@ fn refine(
                     // ablation applies snapshot decisions blindly, which
                     // is exactly the chaotic motion of Section III.
                     if cfg.use_heuristic {
-                        let a_uu = in_table.get(pack_key(u, u)).unwrap_or(0.0);
-                        let w_old = out_table.get(pack_key(u, c_old)).unwrap_or(0.0) - a_uu;
-                        let w_new = out_table.get(pack_key(u, c_new)).unwrap_or(0.0);
                         let gain = dq::move_gain(
-                            w_old,
-                            w_new,
+                            w_own[li],
+                            w_best[li],
                             k_u,
                             tot_view[c_old as usize],
                             tot_view[c_new as usize],
@@ -2217,31 +1813,6 @@ fn refine(
                     label[li] = c_new;
                     local_moves += 1;
                     migrated.push((u, c_new));
-                    // Mover self-wake: the label change invalidates the
-                    // cached scan (w_own, remove side, even the interior
-                    // test all read `c_u`), and W2's interior exclusion
-                    // means membership alone no longer guarantees a
-                    // re-scan — a vertex whose only external row was its
-                    // new home becomes interior the moment it arrives.
-                    // That freshly-interior mover needs no re-scan at
-                    // all, though: with every live row pointing at its
-                    // new home, a scan's candidate loop never runs, so
-                    // the exact fresh result is the sentinel — install
-                    // it directly. (Rows are frozen during this sweep —
-                    // the deltas land in the next propagation, where W1
-                    // catches any subsequent row birth.)
-                    let interior = !cache
-                        .vert_adj
-                        .range((u, 0)..=(u, u32::MAX))
-                        .any(|&(_, e)| e != c_new);
-                    if interior {
-                        m_u[li] = 0.0;
-                        best[li] = c_new;
-                        summ[li] = CandSummary::sentinel_only(c_new);
-                        frontier.set_eligible(li, m_u[li] > cfg.min_gain_threshold);
-                    } else {
-                        frontier.wake(li);
-                    }
                     // b flags join (1) vs leave (0) for size tracking.
                     ex.send(
                         part.owner(c_old),
@@ -2296,15 +1867,10 @@ fn refine(
         let t_prop = Stopwatch::start();
         let sent_before = ctx.sent_messages();
         if moves > 0 {
-            propagate_deltas(
-                ctx,
-                lvl,
-                cache,
-                out_table,
-                &migrated,
-                &mut frontier,
-                cfg.v1_state_rebuild,
-            );
+            let written = propagate_deltas(ctx, lvl, &mut rows, &migrated, cfg.v1_state_rebuild);
+            // One unit per label overwrite; the clock realizes it at the
+            // next collective.
+            ctx.charge(written as f64 * cfg.charge_per_message);
         }
         comm.state_propagation += ctx.sent_messages() - sent_before;
         sim_lap(ctx, &mut sim.state_propagation, &mut work.state_propagation);
@@ -2314,7 +1880,7 @@ fn refine(
         // --- Σ_in and modularity (Algorithm 4, lines 18–25) ---
         let sent_before = ctx.sent_messages();
         q = timers.time(Phase::ComputeModularity, || {
-            compute_modularity(ctx, lvl, out_table, s)
+            compute_modularity(ctx, lvl, &rows, s, cfg)
         });
         comm.modularity += ctx.sent_messages() - sent_before;
         sim_lap(ctx, &mut sim.modularity, &mut work.modularity);
@@ -2336,8 +1902,13 @@ fn refine(
         }
         q_prev = q;
     }
-    *frontier_stats = frontier_stats.sum(&frontier.stats);
-    (q, iterations, fractions, q_trace)
+    Refined {
+        rows,
+        q,
+        iterations,
+        fractions,
+        q_trace,
+    }
 }
 
 /// Translates ε(iter) into the gain threshold `ΔQ̂` with a global
@@ -2391,66 +1962,54 @@ fn compute_threshold(
     0.0
 }
 
-/// Σ_in accumulation and global modularity (Algorithm 4, lines 18–25).
+/// Σ_in and global modularity (Algorithm 4, lines 18–25), without
+/// messages: `Σ_c Σ_in(c) = Σ_u w(u→label(u))` (self-loops included),
+/// and after the propagation that precedes this call every cached label
+/// is current, so each rank folds its own rows in local-index order and
+/// the ranks combine one scalar.
 fn compute_modularity(
-    ctx: &mut RankCtx<'_, Msg>,
-    lvl: &mut RankLevel,
-    out_table: &EdgeTable,
+    ctx: &RankCtx<'_, Msg>,
+    lvl: &RankLevel,
+    rows: &RowStore,
     s: f64,
+    cfg: &ParallelConfig,
 ) -> f64 {
-    lvl.internal.iter_mut().for_each(|x| *x = 0.0);
-    {
-        let part = &lvl.part;
-        let label = &lvl.label;
-        let mut ex = ctx.exchange();
-        for (key, w) in out_table.iter() {
-            let (u, c) = unpack_key(key);
-            // Dead rows (see the find-best scan) carry no weight and
-            // must not be shipped.
-            #[allow(clippy::float_cmp)]
-            // lint: allow(F1) — dead rows are structurally set to exact 0.0 by the delta patcher
-            let live = w != 0.0;
-            if live && label[part.local_index(u)] == c {
-                ex.send(part.owner(c), Msg { a: c, b: 0, w });
-            }
-        }
-        // Σ_in is floating point: sort the contributions so the sum is a
-        // function of the message multiset, independent of delivery order
-        // (which the perturbation harness scrambles and mixed-magnitude
-        // weights expose at ulp scale).
-        let mut contribs: Vec<(u32, u64)> = Vec::new();
-        ex.finish(|m| contribs.push((m.a, m.w.to_bits())));
-        contribs.sort_unstable();
-        let internal = &mut lvl.internal;
-        for &(c, w_bits) in &contribs {
-            internal[part.local_index(c)] += f64::from_bits(w_bits);
-        }
+    let mut internal = 0.0;
+    for (li, &c_u) in lvl.label.iter().enumerate() {
+        internal += rows.self_loop[li] + rows.weight_to(li, c_u);
     }
-    let mut q_local = 0.0;
-    for li in 0..lvl.internal.len() {
-        let tot = lvl.tot[li];
+    let mut q_local = internal / s;
+    for &tot in &lvl.tot {
         // lint: allow(F1) — exact zero sentinel: empty communities carry Σ_tot = 0.0 exactly
         if tot != 0.0 {
-            q_local += lvl.internal[li] / s - (tot / s) * (tot / s);
+            q_local -= (tot / s) * (tot / s);
         }
     }
+    // One unit per in-arc read; realized by the allreduce below.
+    ctx.charge(rows.arcs.len() as f64 * cfg.charge_per_message);
     ctx.allreduce_sum(q_local)
 }
 
 /// GRAPH RECONSTRUCTION (Algorithm 5): compact surviving community ids,
 /// update `orig_comm`, and rebuild the next level's In-Table through an
-/// all-to-all over the Out-Table. Returns the next level and its vertex
-/// count.
+/// all-to-all over the Out-Table, which is aggregated here once from the
+/// row store. Returns the next level and its vertex count.
 fn reconstruct(
     ctx: &mut RankCtx<'_, Msg>,
     lvl: &RankLevel,
-    out_table: &EdgeTable,
+    rows: RowStore,
     orig_comm: &mut [u32],
     cfg: &ParallelConfig,
 ) -> (RankLevel, usize) {
     let rank = ctx.rank();
     let p = ctx.num_ranks();
     let part = &lvl.part;
+    // The refine loop's last propagation announced every move, so the
+    // cached labels are current and the Out-Table is exact. The rows are
+    // dead once aggregated: free them before the all-to-all buffers grow.
+    let out_table = rows.out_table(lvl, rank);
+    ctx.charge(rows.arcs.len() as f64 * cfg.charge_per_message);
+    drop(rows);
 
     // 1. Owners learn which of their communities are non-empty.
     let mut distinct: Vec<u32> = lvl.label.clone();
@@ -2473,10 +2032,10 @@ fn reconstruct(
     let offset: usize = counts.iter().take(rank).map(|&c| c as usize).sum();
     let n_next: usize = counts.iter().map(|&c| c as usize).sum();
 
-    // 3. Replicate the old→new mapping (each owner broadcasts its pairs).
-    // BTreeMap: lookups below must not depend on hash-seed iteration order,
-    // and the map is also walked when debugging — keep it ordered.
-    let mut map: BTreeMap<u32, u32> = BTreeMap::new();
+    // 3. Replicate the old→new mapping (each owner broadcasts its pairs)
+    //    into a dense table over this level's ids; `u32::MAX` marks a
+    //    community that emptied out.
+    let mut map = vec![u32::MAX; lvl.n];
     {
         let mut ex = ctx.exchange();
         for (i, &c) in owned.iter().enumerate() {
@@ -2492,9 +2051,7 @@ fn reconstruct(
                 );
             }
         }
-        ex.finish(|m| {
-            map.insert(m.a, m.b);
-        });
+        ex.finish(|m| map[m.a as usize] = m.b);
     }
 
     // 4. Project original vertices: current level vertex id -> its final
@@ -2509,7 +2066,7 @@ fn reconstruct(
         let x = *oc;
         let owner = part.owner(x);
         let old_label = gathered[offsets[owner] + part.local_index(x)] as u32;
-        *oc = map[&old_label];
+        *oc = map[old_label as usize];
     }
 
     // 5. Rebuild the In-Table in new-id space: ((u, c), w) becomes
@@ -2525,11 +2082,11 @@ fn reconstruct(
         let mut loads = vec![0.0f64; n_next];
         for (key, w) in out_table.iter() {
             #[allow(clippy::float_cmp)]
-            // lint: allow(F1) — dead rows are structurally set to exact 0.0 by the delta patcher
+            // lint: allow(F1) — a row of exactly zero weight carries no arc
             let live = w != 0.0;
             if live {
                 let (_, c_old) = unpack_key(key);
-                loads[map[&c_old] as usize] += 1.0;
+                loads[map[c_old as usize] as usize] += 1.0;
             }
         }
         loads
@@ -2539,19 +2096,17 @@ fn reconstruct(
         let label = &lvl.label;
         let mut ex = ctx.exchange();
         for (key, w) in out_table.iter() {
-            // Dead rows may name communities that emptied out and got no
-            // dense id — `map[&c_old]` would panic on them, and they
-            // carry no weight anyway. Liveness is structural (contributor
-            // counts), so the sentinel holds for arbitrary f64 weights:
-            // a live row's community has at least one member and always
-            // gets a dense id.
+            // Every row names a current label (of a source vertex or of
+            // `u` itself), so its community has a member and a dense id.
+            // Rows of exactly zero weight carry no arc into the next
+            // level.
             #[allow(clippy::float_cmp)]
-            // lint: allow(F1) — dead rows are structurally set to exact 0.0 by the delta patcher
+            // lint: allow(F1) — a row of exactly zero weight carries no arc
             let live = w != 0.0;
             if live {
                 let (u, c_old) = unpack_key(key);
-                let a = map[&label[part.local_index(u)]];
-                let b = map[&c_old];
+                let a = map[label[part.local_index(u)] as usize];
+                let b = map[c_old as usize];
                 ex.send(part_next.owner(b), Msg { a, b, w });
             }
         }
@@ -2576,7 +2131,6 @@ fn reconstruct(
     }
     let label: Vec<u32> = part_next.local_vertices(rank).collect();
     let tot = k.clone();
-    let internal = vec![0.0f64; local_n];
     let size = vec![1u32; local_n];
     (
         RankLevel {
@@ -2586,7 +2140,6 @@ fn reconstruct(
             k,
             label,
             tot,
-            internal,
             size,
         },
         n_next,
@@ -2600,6 +2153,7 @@ mod tests {
     use louvain_graph::edgelist::EdgeListBuilder;
     use louvain_graph::gen::planted::{generate_planted, PlantedConfig};
     use louvain_metrics::{modularity, similarity::nmi, Partition as P};
+    use std::collections::BTreeMap;
 
     fn planted_graph(seed: u64) -> (EdgeList, Vec<u32>) {
         generate_planted(
@@ -2761,7 +2315,7 @@ mod tests {
     fn zero_delta_fast_path_sends_no_state_propagation_messages() {
         // Two vertices with only self-loops: no vertex ever migrates, so
         // the inner loop runs exactly one iteration in which (a) the
-        // Out-Table is built from local data and (b) the delta exchange
+        // row store is built from local data and (b) the delta exchange
         // is skipped in lockstep — zero state-propagation messages —
         // while the phase still terminates through the closing
         // modularity collective.
@@ -2831,13 +2385,17 @@ mod tests {
     }
 
     /// Builds a single-rank [`RankLevel`] over `edges` for white-box
-    /// tests of the delta patcher.
+    /// tests of the row store.
     fn single_rank_level(n: usize, edges: &[(u32, u32, f64)]) -> RankLevel {
         let part = AnyPartition::Modulo(ModuloPartition::new(n, 1));
         let mut in_table = EdgeTable::new(edges.len() * 2 + 8);
         for &(u, v, w) in edges {
-            in_table.accumulate(pack_key(u, v), w);
-            in_table.accumulate(pack_key(v, u), w);
+            if u == v {
+                in_table.accumulate(pack_key(u, u), 2.0 * w);
+            } else {
+                in_table.accumulate(pack_key(u, v), w);
+                in_table.accumulate(pack_key(v, u), w);
+            }
         }
         let mut k = vec![0.0f64; n];
         for (key, w) in in_table.iter() {
@@ -2851,109 +2409,129 @@ mod tests {
             k: k.clone(),
             label: (0..n as u32).collect(),
             tot: k,
-            internal: vec![0.0; n],
             size: vec![1; n],
         }
     }
 
     /// Reference Out-Table: a from-scratch rebuild of `lvl`'s In-Table
-    /// under the cache's current labels.
-    fn rebuild_reference(lvl: &RankLevel, cache: &RemoteCache) -> EdgeTable {
-        let mut t = EdgeTable::new(lvl.in_table.len().max(8));
-        for (key, w) in lvl.in_table.iter() {
-            let (s, d) = unpack_key(key);
-            let idx = cache.srcs.binary_search(&s).expect("source in cache");
-            t.accumulate(pack_key(d, cache.labels[idx]), w);
+    /// under `labels` (a full label per vertex), folding each row's arcs
+    /// in ascending source order, self-loops excluded — what every scan
+    /// of the row store must reproduce bit for bit.
+    fn rebuild_reference(lvl: &RankLevel, labels: &[u32]) -> BTreeMap<(u32, u32), f64> {
+        let mut arcs: Vec<(u32, u32, f64)> = lvl
+            .in_table
+            .iter()
+            .map(|(key, w)| {
+                let (s, d) = unpack_key(key);
+                (d, s, w)
+            })
+            .filter(|&(d, s, _)| d != s)
+            .collect();
+        arcs.sort_unstable_by_key(|&(d, s, _)| (d, s));
+        let mut rows = BTreeMap::new();
+        for (d, s, w) in arcs {
+            *rows.entry((d, labels[s as usize])).or_insert(0.0) += w;
         }
-        t
+        rows
     }
 
+    /// Mixed-magnitude graph plus delta batches for the row-store tests:
+    /// vertex 0's neighbours 1 (1e16), 2 (1.0) and 3 (0.3) join
+    /// community 4 together and leave it again, so a patched sum would
+    /// not cancel back to zero ((1e16 + 1.0) − 1e16 − 1.0 == −1.0).
+    const MIXED_EDGES: [(u32, u32, f64); 7] = [
+        (0, 1, 1e16),
+        (0, 2, 1.0),
+        (0, 3, 0.3),
+        (4, 1, 0.1),
+        (4, 2, 2.5e7),
+        (3, 3, 0.7),
+        (1, 2, 0.3),
+    ];
+    const MIXED_BATCHES: [&[(u32, u32)]; 4] = [
+        &[(1, 4), (2, 4), (3, 4)],
+        &[(1, 3), (2, 3)],
+        &[(2, 0), (3, 0), (1, 0)],
+        &[(4, 1), (0, 2)],
+    ];
+
     #[test]
-    fn vacated_rows_are_structurally_zeroed_despite_fp_cancellation() {
-        // The review's scenario: a row accumulates weights of wildly
-        // different magnitude (1e16 absorbs 1.0 — the sum rounds back to
-        // 1e16), so when every contributor leaves, +w/-w cancellation
-        // does NOT return to 0.0 arithmetically ((1e16 + 1.0) - 1e16 -
-        // 1.0 == -1.0). Liveness must therefore be structural, or the
-        // phantom residue row panics reconstruction and pollutes the
-        // find-best scan.
-        let lvl = single_rank_level(5, &[(0, 1, 1e16), (0, 2, 1.0), (0, 3, 0.3)]);
-        let mut cache = RemoteCache::build(&lvl, 0);
-        let mut out_table = EdgeTable::new(8);
-        build_out_table_local(&lvl, &mut out_table);
-
-        // Vertices 1 and 2 both join community 4, then both leave to 3.
-        cache.apply_deltas(&mut out_table, &mut [(1, 4), (2, 4)], &mut Vec::new());
-        cache.apply_deltas(&mut out_table, &mut [(1, 3), (2, 3)], &mut Vec::new());
-
-        // The fully vacated row is exactly 0.0 (the naive cancellation
-        // would have left -1.0), so every `w != 0.0` consumer skips it.
-        assert_eq!(out_table.get(pack_key(0, 4)), Some(0.0));
-        // Live rows agree with a from-scratch rebuild under the current
-        // labels: same row set, values equal up to accumulation-order
-        // rounding.
-        let reference = rebuild_reference(&lvl, &cache);
-        #[allow(clippy::float_cmp)]
-        for (key, w) in out_table.iter() {
-            let rebuilt = reference.get(key);
-            // lint: allow(F1) — dead rows are structurally set to exact 0.0 by the delta patcher
-            if w == 0.0 {
-                assert_eq!(rebuilt, None, "dead row {key:#x} present in rebuild");
-            } else {
-                let r = rebuilt.expect("live row missing from rebuild");
-                assert!(
-                    (w - r).abs() <= 1e-9 * (1.0 + r.abs()),
-                    "row {key:#x}: patched {w} vs rebuilt {r}"
+    fn scanned_weights_match_a_from_scratch_out_table_bit_for_bit() {
+        let mut lvl = single_rank_level(5, &MIXED_EDGES);
+        let mut rows = RowStore::build(&lvl, 0);
+        let mut scratch = Scratch::new(lvl.n);
+        let mut labels: Vec<u32> = (0..5).collect();
+        for (b, batch) in MIXED_BATCHES.iter().enumerate() {
+            rows.apply_deltas(&mut batch.to_vec());
+            for &(u, c) in batch.iter() {
+                labels[u as usize] = c;
+            }
+            assert_eq!(rows.labels, labels, "batch {b}: cached labels");
+            let reference = rebuild_reference(&lvl, &labels);
+            for li in 0..lvl.n {
+                scratch.load(&rows, li);
+                let mut scanned: Vec<(u32, u64)> = scratch
+                    .touched
+                    .iter()
+                    .map(|&c| (c, scratch.get(c).to_bits()))
+                    .collect();
+                scanned.sort_unstable();
+                scratch.clear();
+                let expected: Vec<(u32, u64)> = reference
+                    .range((li as u32, 0)..=(li as u32, u32::MAX))
+                    .map(|(&(_, c), w)| (c, w.to_bits()))
+                    .collect();
+                assert_eq!(scanned, expected, "batch {b}, vertex {li}");
+                for &(c, w_bits) in &expected {
+                    assert_eq!(rows.weight_to(li, c).to_bits(), w_bits);
+                }
+            }
+            // The reconstruction Out-Table agrees too, self-loops folded
+            // into the owner's own row.
+            lvl.label.clone_from(&labels);
+            let out = rows.out_table(&lvl, 0);
+            for ((d, c), w) in &reference {
+                let self_loop = if labels[*d as usize] == *c {
+                    rows.self_loop[*d as usize]
+                } else {
+                    0.0
+                };
+                let expected = if self_loop == 0.0 { *w } else { w + self_loop };
+                assert_eq!(
+                    out.get(pack_key(*d, *c)).map(f64::to_bits),
+                    Some(expected.to_bits()),
+                    "batch {b}: out-table row ({d}, {c})"
                 );
             }
         }
-        #[allow(clippy::float_cmp)]
-        for (key, _) in reference.iter() {
-            // lint: allow(F1) — dead rows are structurally set to exact 0.0 by the delta patcher
-            let live = out_table.get(key).unwrap_or(0.0) != 0.0;
-            assert!(live, "rebuilt row {key:#x} is dead in the patched table");
-        }
-        // A later re-join of the killed row starts from the exact 0.0,
-        // not from the residue.
-        cache.apply_deltas(&mut out_table, &mut [(1, 4)], &mut Vec::new());
-        assert_eq!(out_table.get(pack_key(0, 4)), Some(1e16));
+        // Vertex 0's neighbours 1 and 2 join community 4 and leave it
+        // for 3: the row (0, 4) must be absent, not a cancellation
+        // residue, and (0, 3) a fresh sum in source order.
+        let mut rows = RowStore::build(&lvl, 0);
+        rows.apply_deltas(&mut [(1, 4), (2, 4)]);
+        rows.apply_deltas(&mut [(1, 3), (2, 3)]);
+        scratch.load(&rows, 0);
+        assert!(!scratch.touched.contains(&4), "{:?}", scratch.touched);
+        assert_eq!(scratch.get(3).to_bits(), (1e16f64 + 1.0 + 0.3).to_bits());
+        scratch.clear();
     }
 
     #[test]
-    fn delta_application_is_independent_of_delivery_order() {
-        // `drain_perturbed` deliberately scrambles delivery order, and
-        // the patched Out-Table persists across inner iterations — so
-        // `apply_deltas` sorts each batch before applying it. Feeding
-        // the same batches in opposite arrival orders must produce
-        // bit-identical tables even for non-commuting f64 weights.
-        let edges = [
-            (0u32, 1u32, 1e16),
-            (0, 2, 1.0),
-            (0, 3, 0.3),
-            (4, 1, 0.1),
-            (4, 2, 2.5e7),
-        ];
-        let batches: [&[(u32, u32)]; 3] = [
-            &[(1, 4), (2, 4), (3, 4)],
-            &[(1, 3), (2, 3)],
-            &[(2, 0), (3, 0), (1, 0)],
-        ];
-        let run = |reverse: bool| -> Vec<(u64, u64)> {
-            let lvl = single_rank_level(5, &edges);
-            let mut cache = RemoteCache::build(&lvl, 0);
-            let mut out_table = EdgeTable::new(8);
-            build_out_table_local(&lvl, &mut out_table);
-            for batch in batches {
+    fn delta_batches_in_reverse_arrival_order_leave_identical_labels() {
+        // `drain_perturbed` deliberately scrambles delivery order, and the
+        // cached labels persist across inner iterations — so
+        // `apply_deltas` sorts each batch before applying it.
+        let run = |reverse: bool| -> Vec<u32> {
+            let lvl = single_rank_level(5, &MIXED_EDGES);
+            let mut rows = RowStore::build(&lvl, 0);
+            for batch in MIXED_BATCHES {
                 let mut b = batch.to_vec();
                 if reverse {
                     b.reverse();
                 }
-                cache.apply_deltas(&mut out_table, &mut b, &mut Vec::new());
+                rows.apply_deltas(&mut b);
             }
-            let mut rows: Vec<(u64, u64)> =
-                out_table.iter().map(|(k, w)| (k, w.to_bits())).collect();
-            rows.sort_unstable();
-            rows
+            rows.labels
         };
         assert_eq!(run(false), run(true));
     }
@@ -2962,10 +2540,8 @@ mod tests {
     fn mixed_magnitude_weights_survive_delta_patching() {
         // End-to-end: non-integer, mixed-magnitude weights whose sums
         // are not exactly representable, run under the perturbation
-        // harness. Pre-structural-liveness this could panic in
-        // reconstruction (`map[&c_old]` on a phantom residue row); now
-        // the run must complete with a self-consistent modularity at
-        // every rank count and perturb seed.
+        // harness. The run must complete with a self-consistent
+        // modularity at every rank count and perturb seed.
         let (el0, _) = planted_graph(23);
         let mut b = EdgeListBuilder::new(el0.num_vertices());
         for (i, e) in el0.edges().iter().enumerate() {
@@ -2996,15 +2572,14 @@ mod tests {
         }
     }
 
-    /// Satellite property test (ISSUE 8): frontier scheduling is an
-    /// optimization, not a semantic change. A frontier-scheduled run and
-    /// a full-scan (`full_rescan`) run must produce bit-identical
-    /// assignments, per-level modularity, and final modularity across
-    /// rank counts and perturbation seeds — on the mixed-magnitude
-    /// weighted graphs where floating-point order sensitivity would
-    /// surface first (the PR 4 review-fix generator).
+    /// The v1 full per-arc rebuild re-announces every label every
+    /// iteration; the delta path announces only migrations. Both must
+    /// leave the cached labels — and so the whole run — bit-identical,
+    /// across rank counts and perturb seeds, on mixed-magnitude weighted
+    /// graphs where floating-point order sensitivity would surface
+    /// first.
     #[test]
-    fn frontier_matches_full_rescan_bit_for_bit() {
+    fn v1_state_rebuild_matches_delta_path_bit_for_bit() {
         let (el0, _) = planted_graph(23);
         let mut b = EdgeListBuilder::new(el0.num_vertices());
         for (i, e) in el0.edges().iter().enumerate() {
@@ -3016,73 +2591,45 @@ mod tests {
             b.add_edge(e.u, e.v, w);
         }
         let el = b.build();
-        for ranks in [2, 4] {
+        for ranks in [1, 2, 4] {
             for seed in [None, Some(1), Some(7)] {
-                let run = |full_rescan: bool| {
+                let run = |v1_state_rebuild: bool| {
                     ParallelLouvain::new(ParallelConfig {
                         perturb_seed: seed,
-                        full_rescan,
+                        v1_state_rebuild,
                         ..ParallelConfig::with_ranks(ranks)
                     })
                     .run(&el)
                 };
-                let f = run(false);
-                let full = run(true);
+                let delta = run(false);
+                let v1 = run(true);
                 assert_eq!(
-                    f.result.final_partition.labels(),
-                    full.result.final_partition.labels(),
+                    delta.result.final_partition.labels(),
+                    v1.result.final_partition.labels(),
                     "ranks={ranks} seed={seed:?}: assignments diverged"
                 );
-                assert_eq!(
-                    f.result.final_modularity.to_bits(),
-                    full.result.final_modularity.to_bits(),
-                    "ranks={ranks} seed={seed:?}: modularity diverged"
-                );
-                for (a, b) in f.result.levels.iter().zip(&full.result.levels) {
+                for (a, b) in delta.result.levels.iter().zip(&v1.result.levels) {
+                    assert_eq!(a.inner_iterations, b.inner_iterations);
+                    let bits = |q: &[f64]| q.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(
-                        a.modularity.to_bits(),
-                        b.modularity.to_bits(),
-                        "ranks={ranks} seed={seed:?}: level modularity diverged"
+                        bits(&a.q_trace),
+                        bits(&b.q_trace),
+                        "ranks={ranks} seed={seed:?}: modularity diverged"
                     );
                 }
+                assert_eq!(delta.result.levels.len(), v1.result.levels.len());
+                // The scan count is the full scan's: every local vertex
+                // once per inner iteration, nothing skipped.
+                let n_scans: u64 = delta
+                    .result
+                    .levels
+                    .iter()
+                    .map(|l| (l.num_vertices * l.inner_iterations) as u64)
+                    .sum();
+                assert_eq!(delta.frontier.active_vertices, n_scans);
+                assert_eq!(delta.frontier.skipped_scans, 0);
             }
         }
-    }
-
-    #[test]
-    fn frontier_skips_scans_and_reports_occupancy() {
-        let (el, _) = planted_graph(11);
-        let n = el.num_vertices() as u64;
-        let run = |full_rescan: bool| {
-            ParallelLouvain::new(ParallelConfig {
-                full_rescan,
-                ..ParallelConfig::with_ranks(4)
-            })
-            .run(&el)
-        };
-        let f = run(false);
-        let full = run(true);
-        // The full-scan ablation never skips and keeps everyone active.
-        assert_eq!(full.frontier.skipped_scans, 0);
-        assert_eq!(full.frontier.reactivations, 0);
-        // The frontier run does strictly less find-best work for the
-        // same (bit-identical) answer, and work conservation holds:
-        // scanned + skipped on the frontier run equals the full scan.
-        assert!(f.frontier.skipped_scans > 0);
-        assert!(f.frontier.active_vertices < full.frontier.active_vertices);
-        assert_eq!(
-            f.frontier.active_vertices + f.frontier.skipped_scans,
-            full.frontier.active_vertices
-        );
-        assert_eq!(
-            f.result.final_modularity.to_bits(),
-            full.result.final_modularity.to_bits()
-        );
-        // First-level occupancy: iteration 1 seeds every vertex, and the
-        // frontier must shrink below that afterwards.
-        assert_eq!(f.frontier_occupancy.first().copied(), Some(n));
-        assert!(f.frontier_occupancy.len() >= 2);
-        assert!(f.frontier_occupancy.iter().skip(1).any(|&o| o < n));
     }
 
     #[test]

@@ -192,6 +192,19 @@ impl CommBreakdown {
     }
 }
 
+/// FIND BEST scan counters of the distributed solver, summed across
+/// ranks, levels and inner iterations.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ScanStats {
+    /// Vertices scanned by FIND BEST COMMUNITY: every local vertex once
+    /// per inner iteration (the paper's full scan).
+    pub active_vertices: u64,
+    /// Vertex scans skipped versus the full scan. Always 0 — nothing
+    /// schedules scans away (DESIGN.md §13 records why) — and kept so
+    /// readers of this counter get a defined value.
+    pub skipped_scans: u64,
+}
+
 /// Per-phase **simulated-clock** deltas for one run, in BSP work units —
 /// the deterministic counterpart of [`PhaseTimers`] and the basis of the
 /// Fig. 8-style breakdown in `BENCH_louvain.json`.

@@ -17,7 +17,6 @@
 
 use louvain_core::checkpoint::{Checkpoint, CheckpointError, LevelSnapshot};
 use louvain_core::parallel::{ParallelConfig, ParallelLouvain};
-use louvain_core::FrontierStats;
 use louvain_graph::edgelist::{EdgeList, EdgeListBuilder};
 use louvain_runtime::FaultPlan;
 use proptest::prelude::*;
@@ -66,7 +65,6 @@ fn checkpoint_of(picks: &[usize], labels: &[u8]) -> Checkpoint {
         k_bits: (0..n).map(|i| fold(i + 1)).collect(),
         label: labels.iter().map(|&l| u32::from(l)).collect(),
         tot_bits: (0..n).map(|i| fold(i / 2)).collect(),
-        internal_bits: (0..n).map(|i| fold(i * 2 % (picks.len() + 1))).collect(),
         size: vec![1; n],
         orig_comm: (0..n as u32).collect(),
         orig_vertices: (0..n as u32).collect(),
@@ -81,12 +79,6 @@ fn checkpoint_of(picks: &[usize], labels: &[u8]) -> Checkpoint {
             q_trace_bits: vec![fold(2)],
         }],
         level_orig_comms: vec![(0..n as u32).collect()],
-        frontier: FrontierStats {
-            active_vertices: n as u64,
-            reactivations: 1,
-            skipped_scans: 2,
-        },
-        frontier_occupancy: vec![n as u64, 1],
         protocol_log: vec!["ReduceF64".into(), "SimSync".into()],
     }
 }

@@ -26,14 +26,12 @@
 //! `louvain-bench` compare exactly that trade-off.
 
 pub mod binned;
-pub mod dual;
 pub mod hashfn;
 pub mod key;
 pub mod stats;
 pub mod table;
 
 pub use binned::BinnedTable;
-pub use dual::DualTable;
 pub use hashfn::{BitwiseHash, ConcatHash, FibonacciHash, HashFn64, HashKind, LcgHash};
 pub use key::{pack_key, pack_key16, unpack_key, unpack_key16};
 pub use stats::{BinLengthStats, OccupancyStats, ProbeStats};

@@ -46,20 +46,6 @@ impl<'w, M: Send> RankCtx<'w, M> {
         self.reduce_u64(x, u64::max, 0, Location::caller())
     }
 
-    /// `true` iff any rank passed `true`.
-    #[must_use]
-    #[track_caller]
-    pub fn allreduce_any(&self, b: bool) -> bool {
-        self.allreduce_sum_u64(u64::from(b)) > 0
-    }
-
-    /// `true` iff every rank passed `true`.
-    #[must_use]
-    #[track_caller]
-    pub fn allreduce_all(&self, b: bool) -> bool {
-        self.allreduce_sum_u64(u64::from(b)) == self.num_ranks() as u64
-    }
-
     /// Element-wise sum of equal-length vectors across ranks. Every rank
     /// must pass the same length.
     #[must_use]
@@ -196,17 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_u64_and_logical() {
-        let out = run::<(), _, _>(4, |ctx| {
-            let s = ctx.allreduce_sum_u64(ctx.rank() as u64);
-            let any = ctx.allreduce_any(ctx.rank() == 2);
-            let all = ctx.allreduce_all(ctx.rank() == 2);
-            let all_true = ctx.allreduce_all(true);
-            (s, any, all, all_true)
-        });
-        assert!(out
-            .iter()
-            .all(|&(s, any, all, at)| { s == 6 && any && !all && at }));
+    fn allreduce_sum_u64_adds_every_rank() {
+        let out = run::<(), _, _>(4, |ctx| ctx.allreduce_sum_u64(ctx.rank() as u64));
+        assert!(out.iter().all(|&s| s == 6));
     }
 
     #[test]

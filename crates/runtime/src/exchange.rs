@@ -66,10 +66,12 @@ pub struct Exchange<'a, 'w, M: Send> {
     /// Fault layer: packets held back by a `Delay` decision, per
     /// destination — re-wired after the next packet to that destination
     /// (reordering them) or at [`Exchange::finish`].
-    delayed: Vec<Vec<Vec<M>>>,
+    /// Each keeps its packet ordinal (see [`Packet`]).
+    delayed: Vec<Vec<(u64, Vec<M>)>>,
     /// Fault layer: packets swallowed by a `Drop` decision, retransmitted
-    /// at [`Exchange::finish`] before the quiescence counts post.
-    dropped: Vec<(usize, Vec<M>)>,
+    /// at [`Exchange::finish`] before the quiescence counts post, as
+    /// `(destination, packet ordinal, messages)`.
+    dropped: Vec<(usize, u64, Vec<M>)>,
     /// Call site of `ctx.exchange()`, reported by protocol diagnostics.
     loc: &'static Location<'static>,
 }
@@ -205,47 +207,30 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
     /// invisible to quiescence and to [`CommStats`](crate::CommStats) —
     /// faults perturb the wire, never the bookkeeping.
     fn transmit(&mut self, dest: usize, msgs: Vec<M>) {
-        let decision = self.ctx.packet_fault(dest, self.phase, self.xmit_ordinal);
+        let seq = self.xmit_ordinal;
+        let decision = self.ctx.packet_fault(dest, self.phase, seq);
         self.xmit_ordinal += 1;
         match decision {
             None => {
-                self.wire(
-                    dest,
-                    Packet {
-                        redundant: false,
-                        msgs,
-                    },
-                );
+                self.wire(dest, false, seq, msgs);
                 self.release_delayed(dest);
             }
             Some(PacketFault::Duplicate) => {
                 self.ctx.fault_dups.set(self.ctx.fault_dups.get() + 1);
-                self.wire(
-                    dest,
-                    Packet {
-                        redundant: false,
-                        msgs,
-                    },
-                );
+                self.wire(dest, false, seq, msgs);
                 // The injected copy is tagged and empty: receivers
                 // discard it unread (`M` need not be `Clone`), so a
                 // duplicate can never re-deliver its messages.
-                self.wire(
-                    dest,
-                    Packet {
-                        redundant: true,
-                        msgs: Vec::new(),
-                    },
-                );
+                self.wire(dest, true, seq, Vec::new());
                 self.release_delayed(dest);
             }
             Some(PacketFault::Delay) => {
                 self.ctx.fault_delays.set(self.ctx.fault_delays.get() + 1);
-                self.delayed[dest].push(msgs);
+                self.delayed[dest].push((seq, msgs));
             }
             Some(PacketFault::Drop) => {
                 self.ctx.fault_drops.set(self.ctx.fault_drops.get() + 1);
-                self.dropped.push((dest, msgs));
+                self.dropped.push((dest, seq, msgs));
             }
         }
     }
@@ -253,14 +238,8 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
     /// Re-wires packets held by earlier `Delay` decisions for `dest`,
     /// now that a later packet has overtaken them.
     fn release_delayed(&mut self, dest: usize) {
-        for msgs in std::mem::take(&mut self.delayed[dest]) {
-            self.wire(
-                dest,
-                Packet {
-                    redundant: false,
-                    msgs,
-                },
-            );
+        for (seq, msgs) in std::mem::take(&mut self.delayed[dest]) {
+            self.wire(dest, false, seq, msgs);
         }
     }
 
@@ -272,18 +251,18 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
         for dest in 0..self.delayed.len() {
             self.release_delayed(dest);
         }
-        for (dest, msgs) in std::mem::take(&mut self.dropped) {
-            self.wire(
-                dest,
-                Packet {
-                    redundant: false,
-                    msgs,
-                },
-            );
+        for (dest, seq, msgs) in std::mem::take(&mut self.dropped) {
+            self.wire(dest, false, seq, msgs);
         }
     }
 
-    fn wire(&mut self, dest: usize, packet: Packet<M>) {
+    fn wire(&mut self, dest: usize, redundant: bool, seq: u64, msgs: Vec<M>) {
+        let packet = Packet {
+            redundant,
+            src: self.self_rank,
+            seq,
+            msgs,
+        };
         self.ctx.world.senders[dest]
             .send(packet)
             // lint: allow(P1) — send fails only if a peer rank thread panicked; aborting is correct
@@ -387,23 +366,30 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
     }
 
     /// The adversarial delivery path: collects every inbound packet
-    /// (treating the self-send buffer as one more packet), then invokes
-    /// the handler in a seeded pseudo-random packet order with a
-    /// pseudo-random message order inside each packet. The simulated
-    /// clock is untouched — only the interleaving observable to the
-    /// handler changes.
+    /// (treating the self-send buffer as one more packet), puts them in
+    /// `(source rank, packet ordinal)` order — so the channel's
+    /// thread-timing-dependent arrival order is forgotten — and then
+    /// invokes the handler in a seeded pseudo-random packet order with a
+    /// pseudo-random message order inside each packet. The delivered
+    /// order is therefore a function of the seed and the logical sends
+    /// alone. The simulated clock is untouched — only the interleaving
+    /// observable to the handler changes.
     fn drain_perturbed<F: FnMut(M)>(&mut self, expected: u64, seed: u64, handler: &mut F) -> u64 {
         let mut received = self.self_buf.len() as u64;
-        let mut packets: Vec<Vec<M>> = Vec::new();
+        let mut packets: Vec<(usize, u64, Vec<M>)> = Vec::new();
         let self_packet = std::mem::take(&mut self.self_buf);
         if !self_packet.is_empty() {
-            packets.push(self_packet);
+            // Self-sends never touch the wire; their source rank alone
+            // names them.
+            packets.push((self.self_rank, 0, self_packet));
         }
         while received < expected {
-            let packet = self.recv_packet();
-            received += packet.len() as u64;
-            packets.push(packet);
+            let packet = self.recv_tagged();
+            received += packet.msgs.len() as u64;
+            packets.push((packet.src, packet.seq, packet.msgs));
         }
+        packets.sort_unstable_by_key(|&(src, seq, _)| (src, seq));
+        let mut packets: Vec<Vec<M>> = packets.into_iter().map(|(_, _, msgs)| msgs).collect();
         let mut rng = PerturbRng::new(seed, self.self_rank as u64, self.phase);
         rng.shuffle(&mut packets);
         for packet in &mut packets {
@@ -418,6 +404,11 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
     }
 
     fn recv_packet(&mut self) -> Vec<M> {
+        self.recv_tagged().msgs
+    }
+
+    /// Receives the next non-redundant packet, with its `(src, seq)` tag.
+    fn recv_tagged(&mut self) -> Packet<M> {
         loop {
             let packet = self
                 .ctx
@@ -431,7 +422,7 @@ impl<'a, 'w, M: Send> Exchange<'a, 'w, M> {
                 // it.
                 continue;
             }
-            return packet.msgs;
+            return packet;
         }
     }
 

@@ -238,8 +238,16 @@ pub enum RunOutcome<R> {
 /// tagged `redundant` and carry no payload, so receivers can discard them
 /// unread — delivery of a duplicate is *observably* impossible, not just
 /// unlikely.
+///
+/// `(src, seq)` names the packet independently of when it reaches the
+/// receiver's channel: `src` is the sending rank and `seq` the sender's
+/// per-phase packet ordinal, assigned in logical send order before any
+/// fault reorders the wire. The perturbed drain sorts on it so its
+/// delivered order is a function of the seed alone.
 pub(crate) struct Packet<M> {
     pub(crate) redundant: bool,
+    pub(crate) src: usize,
+    pub(crate) seq: u64,
     pub(crate) msgs: Vec<M>,
 }
 

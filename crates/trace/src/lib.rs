@@ -169,13 +169,8 @@ pub enum Event {
     /// `runtime.dedup_hits` (keyed sends absorbed by last-writer
     /// coalescing), `exchange.dedup_hits` (the per-phase slice of the
     /// same), `delta.state_propagation_messages` (wire volume of the
-    /// delta protocol), `delta.cache_invalidations` (remote-state
-    /// caches retired by graph reconstruction), and the frontier
-    /// scheduler's `frontier.active_vertices` (vertices scanned by the
-    /// find-best sweep), `frontier.reactivations` (vertices woken back
-    /// onto the frontier after going inactive), and
-    /// `frontier.skipped_scans` (vertices the full scan would have
-    /// visited but the frontier skipped), the checkpoint subsystem's
+    /// delta protocol), `delta.cache_invalidations` (row stores
+    /// retired by graph reconstruction), the checkpoint subsystem's
     /// `checkpoint.count` (level-boundary checkpoints written) and
     /// `checkpoint.bytes` (serialized checkpoint volume), and the fault
     /// injector's `fault.packets_dropped`, `fault.packets_duplicated`,

@@ -65,8 +65,11 @@ use crate::phasegraph::{
 ///
 /// v2: the lattice gained `O(frontier)` between `O(deltas)` and
 /// `O(n_local)` — the active-vertex worklist of the frontier-scheduled
-/// local-move phase (DESIGN.md §13).
-pub const COST_SPEC_SCHEMA_VERSION: u32 = 2;
+/// local-move phase.
+///
+/// v3: `O(frontier)` left the lattice again with the frontier scheduler
+/// (DESIGN.md §13).
+pub const COST_SPEC_SCHEMA_VERSION: u32 = 3;
 
 /// Directories scanned for cost sites. Only the solver crate: runtime
 /// internals implement the collectives and would otherwise contribute
@@ -88,10 +91,6 @@ pub enum PayloadClass {
     /// Bounded by the migration deltas of the iteration (vertices that
     /// changed community).
     ODeltas,
-    /// Bounded by the iteration's active-vertex worklist (the frontier,
-    /// DESIGN.md §13). Sits between `O(deltas)` and `O(n_local)`:
-    /// every mover is active, and every active vertex is local.
-    OFrontier,
     /// Bounded by the rank's vertex count at the current level.
     ONLocal,
     /// Bounded by the rank's arc (In-/Out-Table entry) count.
@@ -106,7 +105,6 @@ impl PayloadClass {
         match self {
             PayloadClass::O1 => "O(1)",
             PayloadClass::ODeltas => "O(deltas)",
-            PayloadClass::OFrontier => "O(frontier)",
             PayloadClass::ONLocal => "O(n_local)",
             PayloadClass::OLocalArcs => "O(local_arcs)",
             PayloadClass::Unbounded => "Unbounded",
@@ -181,8 +179,6 @@ fn seed_class(w: &str) -> Option<PayloadClass> {
     Some(match w {
         // Migration deltas: the PR 4 steady-state currency.
         "migrated" | "deltas" | "moved" => PayloadClass::ODeltas,
-        // The active-vertex worklist of the frontier scheduler (§13).
-        "frontier" | "worklist" => PayloadClass::OFrontier,
         // Arc-shaped collections (In-/Out-Table rows, edge chunks).
         "in_table" | "out_table" | "chunk" | "edges" | "triples" | "pairs" | "out_srcs"
         | "arcs" => PayloadClass::OLocalArcs,
@@ -277,15 +273,13 @@ enum CNode {
 /// `phasegraph::BUILTIN_EFFECTS` names minus the structural
 /// `exchange`/`finish` pair, plus the point-to-point sends). Each entry
 /// carries whether its first argument is a payload buffer.
-const SITE_OPS: [(&str, bool); 18] = [
+const SITE_OPS: [(&str, bool); 16] = [
     ("barrier", false),
     ("allreduce_sum", false),
     ("allreduce_max", false),
     ("allreduce_min", false),
     ("allreduce_sum_u64", false),
     ("allreduce_max_u64", false),
-    ("allreduce_any", false),
-    ("allreduce_all", false),
     ("allreduce_sum_vec", true),
     ("allgather_f64", true),
     ("gather_f64", true),
@@ -1405,8 +1399,7 @@ mod tests {
     #[test]
     fn payload_lattice_order_matches_volume_order() {
         assert!(PayloadClass::O1 < PayloadClass::ODeltas);
-        assert!(PayloadClass::ODeltas < PayloadClass::OFrontier);
-        assert!(PayloadClass::OFrontier < PayloadClass::ONLocal);
+        assert!(PayloadClass::ODeltas < PayloadClass::ONLocal);
         assert!(PayloadClass::ONLocal < PayloadClass::OLocalArcs);
         assert!(PayloadClass::OLocalArcs < PayloadClass::Unbounded);
         assert!(Multiplicity::PerRun < Multiplicity::PerLevel);
@@ -1669,7 +1662,7 @@ fn f(ctx: &mut Ctx, store: &CheckpointStore) {
         };
         let j = spec.to_json();
         assert_eq!(j, spec.to_json());
-        assert!(j.starts_with("{\n  \"schema_version\": 2,\n"));
+        assert!(j.starts_with("{\n  \"schema_version\": 3,\n"));
         assert!(j.ends_with("}\n"));
         assert!(j.contains("\"site\": \"a.rs::main#0\""));
         assert!(j.contains("\"payload\": \"O(local_arcs)\""));

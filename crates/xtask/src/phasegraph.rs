@@ -71,15 +71,13 @@ const SPEC_DIRS: [&str; 6] = [
 /// kind is one `enter_collective`, confirmed against the runtime
 /// source). `exchange` opens a phase but records nothing; `finish`
 /// records the `Exchange` plus the closing `SimSync`.
-pub(crate) const BUILTIN_EFFECTS: [(&str, &[&str]); 18] = [
+pub(crate) const BUILTIN_EFFECTS: [(&str, &[&str]); 16] = [
     ("barrier", &["Barrier"]),
     ("allreduce_sum", &["ReduceF64", "SimSync"]),
     ("allreduce_max", &["ReduceF64", "SimSync"]),
     ("allreduce_min", &["ReduceF64", "SimSync"]),
     ("allreduce_sum_u64", &["ReduceU64", "SimSync"]),
     ("allreduce_max_u64", &["ReduceU64", "SimSync"]),
-    ("allreduce_any", &["ReduceU64", "SimSync"]),
-    ("allreduce_all", &["ReduceU64", "SimSync"]),
     ("allreduce_sum_vec", &["AllreduceSumVec", "SimSync"]),
     ("allgather_f64", &["AllgatherF64", "SimSync"]),
     ("gather_f64", &["AllgatherF64", "SimSync"]),

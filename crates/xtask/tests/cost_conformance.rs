@@ -89,11 +89,9 @@ fn violations(r: &ParallelResult, ranks: u64, raw_edges: u64, distributed: bool)
     // in from the per-level result: total migrations (`deltas`), and the
     // per-iteration sums weighted by level size.
     let mut moves_total = 0u64;
-    let mut iters_total = 0u64;
     let mut recon_terms = 0u64;
     for lvl in &r.result.levels {
         let n = lvl.num_vertices as u64;
-        iters_total += lvl.inner_iterations as u64;
         for &f in &lvl.move_fractions {
             // `f` was computed as moves / n, so this recovers the exact
             // per-iteration global move count.
@@ -136,27 +134,20 @@ fn violations(r: &ParallelResult, ranks: u64, raw_edges: u64, distributed: bool)
         moves_total * ranks,
         "O(deltas) per-iteration",
     );
-    // community update — two O(frontier) sites per inner iteration: the
-    // sweep walks the eligibility ledger (frontier-bounded), and each
-    // mover — a subset of the ledger — ships exactly two Σ_tot messages
-    // (leave + join). `moves_total` is recovered exactly from the move
-    // fractions, so this concrete bound is exact, and anything that
-    // respects it trivially respects the looser O(frontier) and the old
-    // O(n_local) classes it tightened from.
+    // community update — two O(n_local) sites per inner iteration: the
+    // sweep walks the local vertices, and each mover ships exactly two
+    // Σ_tot messages (leave + join). `moves_total` is recovered exactly
+    // from the move fractions, so this concrete bound is exact, and
+    // anything that respects it trivially respects the O(n_local) class.
     check(
         "update",
         cb.update,
         2 * moves_total,
-        "O(frontier) per-iteration (2 messages per move)",
+        "O(n_local) per-iteration (2 messages per move)",
     );
-    // modularity — one O(local_arcs) Σ_in re-key per inner iteration
-    // (the closing allreduce is message-free).
-    check(
-        "modularity",
-        cb.modularity,
-        iters_total * arcs,
-        "O(local_arcs) per-iteration",
-    );
+    // modularity — Σ_in is folded from the local row store, so the phase
+    // is one message-free scalar allreduce per inner iteration.
+    check("modularity", cb.modularity, 0, "message-free per-iteration");
     // reconstruction — per-level, see `recon_terms`.
     check(
         "reconstruction",
@@ -203,9 +194,8 @@ fn spec_classifies_the_delta_path_and_bans_unbounded() {
     assert_eq!(keyed.op, "send_keyed");
     assert_eq!(keyed.payload, "O(deltas)");
     assert_eq!(keyed.multiplicity, "per_iteration");
-    // The two Σ_tot announcements of the update sweep ride the frontier
-    // worklist, not the full vertex range: the scan work class tightened
-    // from O(n_local) to O(frontier) (DESIGN.md §13).
+    // The two Σ_tot announcements of the update sweep walk the local
+    // vertex range (the full scan of DESIGN.md §13).
     for idx in 0..2 {
         let upd = s
             .sites
@@ -213,7 +203,7 @@ fn spec_classifies_the_delta_path_and_bans_unbounded() {
             .find(|c| c.site.ends_with(&format!("::refine#{idx}")))
             .expect("refine update site present");
         assert_eq!(upd.op, "send");
-        assert_eq!(upd.payload, "O(frontier)");
+        assert_eq!(upd.payload, "O(n_local)");
         assert_eq!(upd.multiplicity, "per_iteration");
     }
     let v1 = s

@@ -14,7 +14,8 @@
 #                                  first failed command
 #
 # Steps (in quick-gate order): fmt clippy lint protocol cost docs tests
-# race chaos. Full-gate extras: race8 chaos-full bench-drift.
+# race chaos. Full-gate extras: race8 chaos-full bench-drift. Run on its
+# own (CI's nightly `flaky` job): flaky.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,6 +96,31 @@ run_step() {
       # first (a named error, not a wall of diff) and never writes.
       cargo run -q --release -p louvain-bench -- bench-snapshot --check --quick \
         || stale BENCH_louvain.json "cargo run --release -p louvain-bench -- bench-snapshot --quick"
+      ;;
+    flaky)
+      # The timing-sensitive runtime tests — seeded delivery perturbation
+      # and transport/crash fault injection — each repeated in a process
+      # of its own, 200 times: a test that fails one run in a hundred
+      # fails here instead of passing CI by luck.
+      runs=200
+      cargo test -q -p louvain-runtime --no-run
+      flaky_target() { # <cargo test target flag> <name filter>
+        local tests
+        tests=$(cargo test -q -p louvain-runtime $1 -- --list 2>/dev/null \
+          | sed -n 's/: test$//p' | grep -e "$2")
+        for t in $tests; do
+          for ((i = 1; i <= runs; i++)); do
+            if ! out=$(cargo test -q -p louvain-runtime $1 -- --exact "$t" 2>&1); then
+              echo "$out" >&2
+              echo "error: $t failed on run $i of $runs" >&2
+              exit 1
+            fi
+          done
+          echo "    $t: $runs/$runs passed"
+        done
+      }
+      flaky_target --lib perturb
+      flaky_target "--test fault_injection" .
       ;;
     *)
       echo "unknown step: $1" >&2

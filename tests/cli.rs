@@ -109,3 +109,26 @@ fn rejects_bad_arguments() {
         assert!(!out.status.success(), "args {args:?} should fail");
     }
 }
+
+#[test]
+fn rejects_malformed_edge_lists_with_a_named_error() {
+    let dir = std::env::temp_dir();
+    for (name, text, needle) in [
+        ("nan", "# n 3\n0 1\n1 2 NaN\n", "line 3: weight NaN"),
+        ("negative", "0 1 -2\n", "line 1: weight -2"),
+        ("past_n", "# n 3\n0 3\n", "line 2: vertex id 3"),
+        ("u32_max", "4294967295 0\n", "does not fit the u32 id space"),
+    ] {
+        let input = dir.join(format!("louvain_cli_malformed_{name}.edges"));
+        std::fs::write(&input, text).unwrap();
+        let out = Command::new(louvain_bin())
+            .args([input.to_str().unwrap(), "--solver", "seq"])
+            .output()
+            .expect("binary runs");
+        let _ = std::fs::remove_file(&input);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(needle), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+}
